@@ -30,7 +30,7 @@ RUSTFLAGS="-C target-cpu=native" SWITCHML_FORCE_SCALAR=1 \
     timeout 300 cargo test --release -q -p switchml-core simd
 SWITCHML_FORCE_SCALAR=1 timeout 300 cargo test --release -q -p switchml-core kernel_properties
 
-echo "== hotpath smoke (release, sharded runner with n_cores > 1, zero-alloc check)"
+echo "== hotpath smoke (release, reactor with n_cores > 1, zero-alloc check)"
 cargo run --release -q -p switchml-bench --bin hotpath -- --smoke
 
 # The published hotpath bench must carry the new raw-speed fields: the
@@ -46,7 +46,7 @@ done
 
 echo "== udp burst data plane: tests + quick bench (release, hard time budget)"
 # Every test whose name mentions udp — transport unit tests plus the
-# sharded UDP-vs-channel-vs-reference differentials.
+# per-core UDP-vs-channel-vs-reference differentials.
 timeout 180 cargo test --workspace -q udp
 # The burst receive bench must complete and write a well-formed
 # BENCH_udp.json (both sections present, allocation counter included).

@@ -17,13 +17,13 @@
 //! * **quantize** — GB/s of the scalar reference loop vs the
 //!   chunk-wise kernels;
 //! * **threaded ATE/s** — aggregated tensor elements per second through
-//!   [`switchml_transport::run_allreduce_sharded`] at 1, 2 and 4
-//!   cores. `hardware_threads` is recorded alongside: scaling is only
+//!   [`switchml_transport::run_allreduce_reactor`] with one thread per
+//!   engine at 1, 2 and 4 cores. `hardware_threads` is recorded alongside: scaling is only
 //!   expected to be monotonic when the host actually has the cores.
 //!
 //! * **udp burst I/O** — the batched UDP data plane: packets/sec
 //!   through `recv_batch` at burst sizes 1/8/32 (drain of a prefilled
-//!   loopback socket, allocation-checked), and end-to-end sharded
+//!   loopback socket, allocation-checked), and end-to-end per-core
 //!   all-reduce ATE/s over UDP vs the channel fabric at each
 //!   (burst, cores) point. Written to `BENCH_udp.json` (override with
 //!   `--udp-out`); `--udp` runs *only* this section.
@@ -39,8 +39,8 @@
 //!
 //! Writes pretty JSON to `BENCH_hotpath.json` (override with `--out`).
 //! `--smoke` runs everything at tiny sizes and skips the JSON write —
-//! CI uses it as a release-mode end-to-end check of the sharded runner
-//! plus the allocation invariant.
+//! CI uses it as a release-mode end-to-end check of the reactor with
+//! `n_cores > 1` plus the allocation invariant.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,10 +50,9 @@ use switchml_core::packet::{encode_update_into, Packet, PacketView, PoolVersion}
 use switchml_core::quant::fixed::{dequantize_chunk, dequantize_one, quantize_chunk, quantize_one};
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::WireAction;
+use switchml_transport::reactor::run_allreduce_reactor;
 use switchml_transport::runner::RunConfig;
-use switchml_transport::shard::{
-    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size,
-};
+use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
 use switchml_transport::udp::udp_fabric;
 use switchml_transport::{BurstBuf, Port, TxBatch};
 
@@ -264,8 +263,8 @@ fn quantize_section(elems: usize, reps: u64, smoke: bool) -> serde_json::Value {
     })
 }
 
-/// Aggregated tensor elements per second through the sharded threaded
-/// runner, per core count.
+/// Aggregated tensor elements per second through the reactor with one
+/// thread per engine, per core count.
 fn ate_section(elems: usize, cores: &[usize], hw: usize) -> serde_json::Value {
     let n = 2usize;
     let mut rows = Vec::new();
@@ -275,7 +274,7 @@ fn ate_section(elems: usize, cores: &[usize], hw: usize) -> serde_json::Value {
         // measures the scheduler, not the data plane. Record the point
         // as skipped instead of publishing a misleading wall time.
         if c > hw {
-            println!("sharded allreduce cores={c}: skipped (host has {hw} hardware threads)");
+            println!("per-engine allreduce cores={c}: skipped (host has {hw} hardware threads)");
             rows.push(serde_json::json!({
                 "n_cores": c,
                 "oversubscribed": true,
@@ -303,10 +302,11 @@ fn ate_section(elems: usize, cores: &[usize], hw: usize) -> serde_json::Value {
             ..RunConfig::default()
         };
         let report =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto, &cfg).unwrap();
+            run_allreduce_reactor(sharded_channel_fabric(n, c), updates, &proto, &cfg, n * c)
+                .unwrap();
         let ate = elems as f64 / report.wall.as_secs_f64();
         println!(
-            "sharded allreduce n={n} elems={elems} cores={c}: {:.1} ms, {:.2} M ATE/s",
+            "per-engine allreduce n={n} elems={elems} cores={c}: {:.1} ms, {:.2} M ATE/s",
             report.wall.as_secs_f64() * 1e3,
             ate / 1e6
         );
@@ -325,8 +325,6 @@ fn ate_section(elems: usize, cores: &[usize], hw: usize) -> serde_json::Value {
 /// a tight wall budget and records only whether it finished — on an
 /// oversubscribed host it often cannot, which is the point.
 fn reactor_scale_section(elems: usize, hw: usize) -> serde_json::Value {
-    use switchml_transport::reactor::run_allreduce_reactor;
-
     let n = 64usize;
     let threads = hw.clamp(1, 4);
     let proto = Protocol {
@@ -370,11 +368,12 @@ fn reactor_scale_section(elems: usize, hw: usize) -> serde_json::Value {
         ..RunConfig::default()
     };
     let t0 = Instant::now();
-    let threaded = run_allreduce_sharded(
+    let threaded = run_allreduce_reactor(
         sharded_channel_fabric(n, 1),
         mk_updates(),
         &proto,
         &threaded_cfg,
+        n,
     );
     let threaded_wall = t0.elapsed();
     let completed = threaded.is_ok();
@@ -480,7 +479,7 @@ fn udp_recv_section(rounds: u64, bursts: &[usize]) -> serde_json::Value {
     serde_json::Value::Array(rows)
 }
 
-/// Full sharded all-reduce over UDP loopback vs the channel fabric at
+/// Full per-core all-reduce over UDP loopback vs the channel fabric at
 /// each (burst, cores) point — end-to-end ATE/s for the same protocol
 /// over real sockets, plus kernel send-error counts from the port
 /// stats.
@@ -513,9 +512,15 @@ fn udp_allreduce_section(elems: usize, cores: &[usize], bursts: &[usize]) -> ser
                 let report = match transport {
                     "udp" => {
                         let ports = udp_fabric(sharded_fabric_size(n, c)).expect("udp fabric");
-                        run_allreduce_sharded(ports, updates, &proto, &cfg)
+                        run_allreduce_reactor(ports, updates, &proto, &cfg, n * c)
                     }
-                    _ => run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto, &cfg),
+                    _ => run_allreduce_reactor(
+                        sharded_channel_fabric(n, c),
+                        updates,
+                        &proto,
+                        &cfg,
+                        n * c,
+                    ),
                 }
                 .unwrap();
                 let ate = elems as f64 / report.wall.as_secs_f64();
@@ -553,7 +558,6 @@ fn udp_allreduce_section(elems: usize, cores: &[usize], bursts: &[usize]) -> ser
 /// recorded as measured.
 fn hierarchy_section(grid: &[(usize, usize)], elems: usize, threads: usize) -> serde_json::Value {
     use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
-    use switchml_transport::reactor::run_allreduce_reactor;
     use switchml_transport::runner::RunReport;
     use switchml_transport::shard::sharded_channel_fabric;
 
@@ -778,7 +782,7 @@ fn main() {
         let reactor = reactor_scale_section(if smoke { 64 } else { 2048 }, hw);
 
         if smoke {
-            println!("smoke OK: sharded runner correct and hot path allocation-free");
+            println!("smoke OK: per-core reactor runs correct and hot path allocation-free");
             return;
         }
         let doc = serde_json::json!({
@@ -800,7 +804,7 @@ fn main() {
     }
 
     // UDP burst data plane: receive-path syscall amortization plus the
-    // sharded all-reduce end to end over real sockets.
+    // per-core all-reduce end to end over real sockets.
     let (recv_rounds, udp_elems, udp_cores, udp_bursts): (u64, usize, &[usize], &[usize]) = if smoke
     {
         (50, 8_000, &[1], &[1, 32])

@@ -324,10 +324,10 @@ pub fn udp(args: &Args) -> Result<String, String> {
         "threads",
     ])?;
     use switchml_transport::channel::channel_fabric;
-    use switchml_transport::lossy::lossy_fabric;
+    use switchml_transport::faulty::{faulty_fabric, FaultyConfig};
     use switchml_transport::reactor::run_allreduce_reactor;
     use switchml_transport::runner::{run_allreduce, RunConfig, RunReport};
-    use switchml_transport::shard::{run_allreduce_sharded, sharded_fabric_size};
+    use switchml_transport::shard::sharded_fabric_size;
     use switchml_transport::udp::udp_fabric;
     use switchml_transport::Port;
 
@@ -368,8 +368,8 @@ pub fn udp(args: &Args) -> Result<String, String> {
         .collect();
     let expect: f32 = (1..=workers).map(|x| x as f32).sum();
 
-    /// Reactor when asked for, single-switch runner for one core,
-    /// sharded (thread-per-engine) runner otherwise.
+    /// The reactor on `reactor_threads` threads, else the
+    /// single-switch runner.
     fn drive<P: Port + 'static>(
         ports: Vec<P>,
         updates: Vec<Vec<Vec<f32>>>,
@@ -379,13 +379,17 @@ pub fn udp(args: &Args) -> Result<String, String> {
     ) -> switchml_core::Result<RunReport> {
         match reactor_threads {
             Some(t) => run_allreduce_reactor(ports, updates, proto, cfg, t),
-            None if cfg.n_cores > 1 => run_allreduce_sharded(ports, updates, proto, cfg),
             None => run_allreduce(ports, updates, proto, cfg),
         }
     }
 
-    let reactor_threads = (runner == "reactor").then_some(threads);
-    let size = if cores > 1 || reactor_threads.is_some() {
+    // More than one core runs the reactor with one thread per engine.
+    let reactor_threads = match runner.as_str() {
+        "reactor" => Some(threads),
+        _ if cores > 1 => Some(workers * cores),
+        _ => None,
+    };
+    let size = if reactor_threads.is_some() {
         sharded_fabric_size(workers, cores)
     } else {
         workers + 1
@@ -396,7 +400,7 @@ pub fn udp(args: &Args) -> Result<String, String> {
     let report = match (transport.as_str(), loss > 0.0) {
         ("channel", false) => drive(channel_fabric(size), updates, &proto, &cfg, reactor_threads),
         ("channel", true) => {
-            let (ports, _) = lossy_fabric(channel_fabric(size), loss, 42);
+            let (ports, _) = faulty_fabric(channel_fabric(size), FaultyConfig::loss_only(loss), 42);
             drive(ports, updates, &proto, &cfg, reactor_threads)
         }
         ("udp", false) => {
@@ -405,7 +409,7 @@ pub fn udp(args: &Args) -> Result<String, String> {
         }
         _ => {
             let ports = udp_fabric(size).map_err(|e| e.to_string())?;
-            let (ports, _) = lossy_fabric(ports, loss, 42);
+            let (ports, _) = faulty_fabric(ports, FaultyConfig::loss_only(loss), 42);
             drive(ports, updates, &proto, &cfg, reactor_threads)
         }
     }
@@ -791,7 +795,9 @@ pub fn chaos(args: &Args) -> Result<String, String> {
         runner: if ctrl_mode {
             RunnerKind::Ctrl
         } else if cores > 1 {
-            RunnerKind::Sharded
+            RunnerKind::Reactor {
+                threads: workers * cores,
+            }
         } else {
             RunnerKind::Plain
         },
@@ -1308,8 +1314,8 @@ pub fn hier(args: &Args) -> Result<String, String> {
     use std::time::Duration;
     use switchml_core::agg;
     use switchml_transport::channel::channel_fabric;
+    use switchml_transport::faulty::{faulty_fabric, FaultyConfig};
     use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
-    use switchml_transport::lossy::lossy_fabric;
     use switchml_transport::reactor::run_allreduce_reactor;
     use switchml_transport::runner::{RunConfig, RunReport};
     use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
@@ -1379,7 +1385,7 @@ pub fn hier(args: &Args) -> Result<String, String> {
         hc: &HierConfig,
     ) -> switchml_core::Result<RunReport> {
         if loss > 0.0 {
-            let (ports, _) = lossy_fabric(base, loss, seed);
+            let (ports, _) = faulty_fabric(base, FaultyConfig::loss_only(loss), seed);
             run_allreduce_hier(ports, updates, proto, cfg, hc)
         } else {
             run_allreduce_hier(base, updates, proto, cfg, hc)
@@ -1427,7 +1433,7 @@ pub fn hier(args: &Args) -> Result<String, String> {
             threads: usize,
         ) -> switchml_core::Result<RunReport> {
             if loss > 0.0 {
-                let (ports, _) = lossy_fabric(ports, loss, seed);
+                let (ports, _) = faulty_fabric(ports, FaultyConfig::loss_only(loss), seed);
                 run_allreduce_reactor(ports, updates, proto, cfg, threads)
             } else {
                 run_allreduce_reactor(ports, updates, proto, cfg, threads)

@@ -174,7 +174,18 @@ impl ReliableSwitch {
         let other = 1 - ver;
 
         if !self.pools[ver][idx].seen.contains(wid) {
-            // First time this worker contributes to this phase.
+            // First time this worker contributes to this phase. Vet the
+            // offset before touching any state, so a rejected update
+            // cannot mark the worker as seen and turn its genuine
+            // update into a "duplicate".
+            let phase = &self.pools[ver][idx];
+            if phase.count != 0 && phase.off != off {
+                self.stats.rejected += 1;
+                return Err(Error::ProtocolViolation(format!(
+                    "slot {idx} ver {ver}: worker {wid} sent off {} but phase off is {}",
+                    off, phase.off
+                )));
+            }
             self.pools[ver][idx].seen.set(wid);
             self.pools[other][idx].seen.clear(wid);
 
@@ -185,13 +196,6 @@ impl ReliableSwitch {
                 elems.overwrite_into(&mut slot.value);
                 slot.off = off;
             } else {
-                if slot.off != off {
-                    self.stats.rejected += 1;
-                    return Err(Error::ProtocolViolation(format!(
-                        "slot {idx} ver {ver}: worker {wid} sent off {} but phase off is {}",
-                        off, slot.off
-                    )));
-                }
                 elems.add_into(&mut slot.value, self.wrapping);
             }
             slot.count = (slot.count + 1) % self.n;
@@ -464,6 +468,17 @@ mod tests {
             .on_packet(pkt(1, PoolVersion::V0, 0, 999, vec![1]))
             .unwrap_err();
         assert!(matches!(err, Error::ProtocolViolation(_)));
+        assert_eq!(sw.stats().rejected, 1);
+        // The rejected update left no trace: worker 1's genuine update
+        // is a first contribution, not a duplicate, and completes.
+        match sw
+            .on_packet(pkt(1, PoolVersion::V0, 0, 0, vec![2]))
+            .unwrap()
+        {
+            SwitchAction::Multicast(p) => assert_eq!(p.payload, Payload::I32(vec![3])),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(sw.stats().duplicates, 0);
     }
 
     #[test]

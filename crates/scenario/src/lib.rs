@@ -2,7 +2,7 @@
 //!
 //! One vocabulary — topology, workload, fault plan, expectations —
 //! compiled down to every transport (netsim, channel, UDP) and every
-//! runner (plain, sharded, reactor, ctrl, sched) the workspace has.
+//! runner (plain, reactor, ctrl, sched) the workspace has.
 //! A [`Scenario`] is a plain value: build it with [`Scenario::build`],
 //! serialize it to a `.scenario` JSON file, hand it to
 //! [`run_scenario`], and check the [`ScenarioReport`] it produces.

@@ -109,7 +109,7 @@ pub fn all() -> Vec<Scenario> {
         build(
             Scenario::build("sharded-4core-loss")
                 .descr("4 switch shards + per-core engines under 3% loss")
-                .runner(RunnerKind::Sharded)
+                .runner(RunnerKind::Reactor { threads: 8 })
                 .workers(2)
                 .cores(4)
                 .job_with(|j| j.elems = 4096)

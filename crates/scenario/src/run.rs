@@ -23,8 +23,7 @@ use switchml_ctrl::sched::{
 use switchml_netsim::prelude::Nanos;
 use switchml_transport::channel::channel_fabric;
 use switchml_transport::chaos::{
-    chaos_fabric_data_plane, run_chaos, run_chaos_reactor, run_chaos_sharded, ChaosOutcome,
-    ChaosSpec, KillAt,
+    chaos_fabric_data_plane, run_chaos, run_chaos_reactor, ChaosOutcome, ChaosSpec, KillAt,
 };
 use switchml_transport::faulty::{FaultyConfig, FaultyPort, FaultyStats};
 use switchml_transport::hier::{hier_fabric_size, run_allreduce_hier, HierConfig};
@@ -48,7 +47,7 @@ const REORDER_SPREAD: Nanos = Nanos(5_000);
 /// The raw report the underlying runner produced, kept so callers
 /// (CLI formatting, tests) can drill into runner-specific counters.
 pub enum Detail {
-    /// Plain/sharded/reactor data-plane run that completed.
+    /// Plain/reactor data-plane run that completed.
     Run(RunReport),
     /// Controller-managed run on a real transport.
     Ctrl(CtrlRunReport),
@@ -261,9 +260,7 @@ pub fn run_scenario(sc: &Scenario, t: Transport) -> Result<ScenarioReport, Strin
             _ => Ok(netsim_collective(sc, t)),
         },
         Transport::Channel | Transport::Udp => match sc.runner {
-            RunnerKind::Plain | RunnerKind::Sharded | RunnerKind::Reactor { .. } => {
-                transport_dataplane(sc, t)
-            }
+            RunnerKind::Plain | RunnerKind::Reactor { .. } => transport_dataplane(sc, t),
             RunnerKind::Ctrl => transport_ctrl(sc, t),
             RunnerKind::Sched => transport_sched(sc, t),
         },
@@ -358,7 +355,7 @@ fn unsupported(e: &Expect, family: &str) -> String {
     format!("{e:?}: oracle not measurable on the {family} runner")
 }
 
-// ------------------------------------------- plain / sharded / reactor
+// --------------------------------------------------- plain / reactor
 
 fn transport_dataplane(sc: &Scenario, t: Transport) -> Result<ScenarioReport, String> {
     if sc.topology.racks > 1 {
@@ -394,7 +391,6 @@ fn transport_dataplane(sc: &Scenario, t: Transport) -> Result<ScenarioReport, St
     ) -> switchml_core::error::Result<ChaosOutcome> {
         match sc.runner {
             RunnerKind::Plain => run_chaos(ports, updates, proto, cfg, spec),
-            RunnerKind::Sharded => run_chaos_sharded(ports, updates, proto, cfg, spec),
             RunnerKind::Reactor { threads } => {
                 run_chaos_reactor(ports, updates, proto, cfg, spec, threads)
             }
@@ -440,7 +436,7 @@ fn transport_dataplane(sc: &Scenario, t: Transport) -> Result<ScenarioReport, St
             Expect::Retransmissions => retx > 0,
             Expect::WallUnderMs(ms) => completed && wall_ms <= *ms,
             other => {
-                violations.push(unsupported(other, "plain/sharded/reactor"));
+                violations.push(unsupported(other, "plain/reactor"));
                 continue;
             }
         };

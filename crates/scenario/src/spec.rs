@@ -7,7 +7,7 @@
 //! must hold afterwards* (the expectation oracles). It says nothing
 //! about *how* to run — the same value executes against the netsim
 //! simulator, the in-memory channel fabric, or real UDP sockets, and
-//! against the plain, sharded, reactor, ctrl, and sched runners
+//! against the plain, reactor, ctrl, and sched runners
 //! (see [`crate::run`]).
 
 use std::time::Duration;
@@ -50,8 +50,6 @@ impl Transport {
 pub enum RunnerKind {
     /// One switch thread + one thread per worker.
     Plain,
-    /// Per-core switch shards + per-(worker, core) engine threads.
-    Sharded,
     /// Run-to-completion reactor: `threads` OS threads own all engines.
     Reactor { threads: usize },
     /// Controller-managed single job: failure detection,
@@ -65,7 +63,6 @@ impl RunnerKind {
     pub fn name(&self) -> String {
         match self {
             RunnerKind::Plain => "plain".into(),
-            RunnerKind::Sharded => "sharded".into(),
             RunnerKind::Reactor { threads } => format!("reactor:{threads}"),
             RunnerKind::Ctrl => "ctrl".into(),
             RunnerKind::Sched => "sched".into(),
@@ -75,7 +72,6 @@ impl RunnerKind {
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "plain" => Ok(RunnerKind::Plain),
-            "sharded" => Ok(RunnerKind::Sharded),
             "ctrl" => Ok(RunnerKind::Ctrl),
             "sched" => Ok(RunnerKind::Sched),
             other => {
@@ -88,7 +84,7 @@ impl RunnerKind {
                     Ok(RunnerKind::Reactor { threads })
                 } else {
                     Err(format!(
-                        "unknown runner '{other}' (plain|sharded|reactor:N|ctrl|sched)"
+                        "unknown runner '{other}' (plain|reactor:N|ctrl|sched)"
                     ))
                 }
             }
@@ -220,7 +216,7 @@ pub enum KillWhen {
     ElapsedUs(u64),
     /// After the worker completes this many data-plane sends — "kill
     /// at chunk N" in the unit a schedule can count deterministically,
-    /// independent of machine speed. Plain/sharded/reactor runners
+    /// independent of machine speed. Plain/reactor runners
     /// only (the scripted-port layer does the counting).
     AfterSends(u64),
 }
@@ -371,7 +367,9 @@ impl Scenario {
                 }
                 match self.runner {
                     RunnerKind::Plain => f.kills.is_empty() && f.failover_us.is_none(),
-                    RunnerKind::Sharded => {
+                    // `netsim_collective` ignores the runner kind; the
+                    // reactor gets the rule per-core sharding needs.
+                    RunnerKind::Reactor { .. } => {
                         self.topology.racks == 1 && f.kills.is_empty() && f.failover_us.is_none()
                     }
                     RunnerKind::Ctrl => {
@@ -389,7 +387,7 @@ impl Scenario {
                                 .iter()
                                 .all(|j| j.arrival_ms == 0 && j.elems == self.jobs[0].elems)
                     }
-                    RunnerKind::Reactor { .. } | RunnerKind::Sched => false,
+                    RunnerKind::Sched => false,
                 }
             }
             Transport::Channel | Transport::Udp => {
@@ -410,7 +408,7 @@ impl Scenario {
                         && f.reorder == 0.0;
                 }
                 match self.runner {
-                    RunnerKind::Plain | RunnerKind::Sharded | RunnerKind::Reactor { .. } => {
+                    RunnerKind::Plain | RunnerKind::Reactor { .. } => {
                         self.jobs.len() == 1 && f.switch_restart_ms.is_none()
                     }
                     RunnerKind::Ctrl => {
@@ -520,7 +518,7 @@ impl Scenario {
             .any(|(_, w)| matches!(w, KillWhen::AfterSends(_)))
             && matches!(self.runner, RunnerKind::Ctrl | RunnerKind::Sched)
         {
-            return Err("AfterSends kills need the plain/sharded/reactor runners".into());
+            return Err("AfterSends kills need the plain/reactor runners".into());
         }
         if self.rto_us == 0 || self.max_wall_ms == 0 || self.burst == 0 {
             return Err("rto_us, max_wall_ms and burst must be nonzero".into());

@@ -35,7 +35,6 @@ use crate::faulty::{FaultyConfig, FaultyPort, FaultyStats};
 use crate::port::{Port, PortStats};
 use crate::reactor::run_allreduce_reactor;
 use crate::runner::{run_allreduce, RunConfig, RunReport};
-use crate::shard::run_allreduce_sharded;
 
 /// When a scripted kill takes effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -278,27 +277,11 @@ pub fn run_chaos<P: Port + 'static>(
     }
 }
 
-/// Sharded variant: `ports` is a sharded fabric
+/// Reactor variant: `ports` is a sharded fabric
 /// ([`crate::shard::sharded_fabric_size`]) whose first
-/// `run_cfg.n_cores` endpoints are switch shards.
-pub fn run_chaos_sharded<P: Port + 'static>(
-    ports: Vec<P>,
-    updates: Vec<Vec<Vec<f32>>>,
-    proto: &Protocol,
-    run_cfg: &RunConfig,
-    spec: &ChaosSpec,
-) -> Result<ChaosOutcome> {
-    let reference = agg::allreduce(&updates, proto)?;
-    let (ports, _stats) = chaos_fabric(ports, run_cfg.n_cores, spec);
-    match run_allreduce_sharded(ports, updates, proto, run_cfg) {
-        Ok(report) => verify_bit_identical(report, &reference),
-        Err(e) => Ok(ChaosOutcome::CleanDegradation(e)),
-    }
-}
-
-/// Reactor variant: `ports` is a sharded fabric whose first
 /// `run_cfg.n_cores` endpoints are switch shards, driven by
-/// `n_threads` run-to-completion reactor threads.
+/// `n_threads` run-to-completion reactor threads (one per engine for
+/// `n_workers × n_cores`).
 pub fn run_chaos_reactor<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
@@ -388,12 +371,14 @@ mod tests {
             stragglers: vec![(cores, Duration::from_micros(20))],
             ..chaos_spec(7)
         };
-        let out = run_chaos_sharded(
+        // One thread per engine, so the straggler stalls only itself.
+        let out = run_chaos_reactor(
             sharded_channel_fabric(n, cores),
             updates(n, 512),
             &proto(n),
             &cfg,
             &spec,
+            n * cores,
         )
         .unwrap();
         let ChaosOutcome::BitIdentical(report) = out else {

@@ -1,7 +1,8 @@
 //! Full fault-injecting transport wrapper: send-side loss, recv-side
 //! loss, duplication, and bounded reordering — each with its own
-//! probability, all deterministic per seed. [`crate::lossy`] remains
-//! the loss-only convenience layer on top of this.
+//! probability, all deterministic per seed. [`FaultyConfig::loss_only`]
+//! is the one-knob send-side loss the §5.5-style loss-recovery
+//! experiments use.
 //!
 //! Reordering is bounded the way real fabrics reorder: a held datagram
 //! is released after at most [`FaultyConfig::reorder_span`] subsequent
@@ -61,7 +62,7 @@ impl Default for FaultyConfig {
 }
 
 impl FaultyConfig {
-    /// Send-side loss only — what [`crate::lossy::lossy_fabric`] uses.
+    /// Send-side loss only, frame by frame.
     pub fn loss_only(p: f64) -> Self {
         FaultyConfig {
             send_drop: p,
@@ -162,6 +163,12 @@ impl<P: Port> FaultyPort<P> {
             stats,
             local: Counters::default(),
         }
+    }
+
+    /// The wrapped port.
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &P {
+        &self.inner
     }
 
     fn roll(&mut self, p: f64) -> bool {
@@ -391,6 +398,29 @@ mod tests {
             seen
         };
         assert_eq!(run(77), run(77), "schedule must be seed-deterministic");
+    }
+
+    /// Send-side loss drops at its configured rate, and every send is
+    /// either delivered or counted dropped.
+    #[test]
+    fn loss_only_drops_at_configured_rate() {
+        for (p, expect) in [(0.5, 350..=650), (0.0, 0..=0)] {
+            let (mut ports, stats) =
+                faulty_fabric(channel_fabric(2), FaultyConfig::loss_only(p), 42);
+            let mut rx = ports.pop().unwrap();
+            let mut tx = ports.pop().unwrap();
+            for _ in 0..1000 {
+                tx.send(1, b"x");
+            }
+            let mut received = 0;
+            while rx.recv_timeout(Duration::from_millis(1)).is_some() {
+                received += 1;
+            }
+            assert_eq!(stats.sent(), 1000);
+            let dropped = stats.dropped();
+            assert_eq!(received + dropped as usize, 1000);
+            assert!(expect.contains(&dropped), "p {p}: dropped {dropped}");
+        }
     }
 
     /// Push a fixed workload through a 2-port faulty fabric and record

@@ -9,14 +9,18 @@
 //!   with a batched `sendmmsg`/`recvmmsg` fast path on Linux;
 //! * [`faulty`] — deterministic fault injection (loss, duplication,
 //!   bounded reordering, recv-side drop) for either;
-//! * [`lossy`] — loss-only convenience layer over [`faulty`];
 //! * [`runner`] — one switch thread + n worker threads running a full
 //!   synchronous all-reduce over burst I/O ([`port::BurstBuf`] /
-//!   [`port::TxBatch`], `RunConfig::burst`);
-//! * [`reactor`] — run-to-completion event loop: a fixed pool of OS
-//!   threads each owning many worker engines, polling non-blocking
-//!   bursts and a hashed [`wheel::TimerWheel`] for RTOs, so worker
-//!   count is decoupled from thread count.
+//!   [`port::TxBatch`], `RunConfig::burst`); the Float16 and
+//!   multi-round-session path;
+//! * [`reactor`] — the one worker-side executor for Fixed32 runs: a
+//!   fixed pool of OS threads each owning many worker engines, polling
+//!   non-blocking bursts and a hashed [`wheel::TimerWheel`] for RTOs,
+//!   so worker count is decoupled from thread count (one thread per
+//!   engine is just a configuration);
+//! * [`shard`] — the flat switch loop, one thread per switch shard;
+//! * [`hier`] — the §6 two-level tree: leaf switches between the
+//!   reactor's engines and a spine shard.
 //!
 //! ```no_run
 //! use switchml_transport::{channel::channel_fabric, runner::{run_allreduce, RunConfig}};
@@ -33,7 +37,6 @@ pub mod channel;
 pub mod chaos;
 pub mod faulty;
 pub mod hier;
-pub mod lossy;
 pub mod port;
 pub mod reactor;
 pub mod runner;
@@ -50,5 +53,5 @@ pub use reactor::{run_allreduce_reactor, ReactorStats};
 pub use runner::{
     resolve_run_proto, run_allreduce, run_allreduce_session, RunConfig, RunReport, SessionReport,
 };
-pub use shard::{run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size};
+pub use shard::{sharded_channel_fabric, sharded_fabric_size};
 pub use wheel::TimerWheel;

@@ -1,24 +1,27 @@
-//! Run-to-completion reactor: many worker engines per OS thread.
+//! Run-to-completion reactor: the one worker-side executor for every
+//! Fixed32 engine runner.
 //!
-//! The sharded runner ([`crate::shard`]) spends one OS thread per
-//! (worker, core) engine and parks each thread in a blocking
-//! `recv_batch(next_deadline - now)`. That reproduces the paper's
-//! one-core-per-engine DPDK layout faithfully, but a test host has a
-//! handful of hardware threads, so worker count is capped by thread
-//! count — tens of workers, never the hundreds a multi-rack topology
-//! (§6) needs.
-//!
-//! This module decouples the two. Worker engines become plain state
-//! owned by a small, fixed pool of **reactor threads**; each thread
-//! run-to-completion polls its engines' ports non-blockingly
+//! The paper's worker pins one slot range + one contiguous chunk range
+//! to each DPDK core (§3.5). Here those per-core engines are plain
+//! state owned by a small, fixed pool of **reactor threads**; each
+//! thread run-to-completion polls its engines' ports non-blockingly
 //! (`recv_batch` with `Duration::ZERO` — see [`crate::port::Port`])
 //! and drives retransmissions from a per-thread hashed
 //! [`TimerWheel`](crate::wheel::TimerWheel) instead of per-engine
-//! blocking timeouts. The switch side is unchanged: the same
-//! `shard_switch_loop` threads, the same endpoint layout, the same
-//! wire traffic — which is why the result is bit-identical to the
-//! threaded runner and the sequential reference (integer aggregation
-//! is order-independent, quantization deterministic).
+//! blocking timeouts. Worker count is therefore decoupled from thread
+//! count: hundreds of engines on a handful of threads, or — with
+//! `n_threads = n_workers × n_cores` — one thread per engine, the
+//! paper's one-core-per-engine layout. Either way the wire traffic is
+//! the same and the result is bit-identical to the sequential
+//! reference (integer aggregation is order-independent, quantization
+//! deterministic).
+//!
+//! The same `EngineCtx` serves the flat star
+//! ([`run_allreduce_reactor`]: each engine speaks to its switch shard,
+//! `shard::shard_switch_loop`) and the two-level tree
+//! ([`crate::hier::run_allreduce_hier`]: each virtual worker speaks to
+//! its rack's leaf and carries a handle on the rack's epoch and
+//! snapshot rendezvous).
 //!
 //! ## Ownership model (why no locks)
 //!
@@ -29,23 +32,25 @@
 //! timers (each thread's wheel only holds its own engines). Nothing
 //! on the data path is shared mutably, so there is not a single lock
 //! or atomic on the per-packet path; the only cross-thread state is
-//! the stop flag and the final result hand-off at join.
+//! the stop flag, the final result hand-off at join, and — on a tree —
+//! the rack epoch, read once per burst.
 
-use crate::port::{BurstBuf, Port, PortStats, TxBatch};
+use crate::hier::RackLink;
+use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
 use crate::runner::{resolve_run_proto, RunConfig, RunReport, SCRATCH_CAPACITY};
-#[cfg(test)]
-use crate::shard::worker_core_endpoint;
-use crate::shard::{shard_endpoint, shard_switch_loop, sharded_fabric_size, stage_update};
+use crate::shard::{shard_endpoint, shard_switch_loop, sharded_fabric_size};
 use crate::wheel::TimerWheel;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{NumericMode, Protocol, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{PacketKind, PacketView, WireElems, WorkerId};
-use switchml_core::quant::fixed::dequantize_chunk;
+use switchml_core::packet::{encode_update_into, PacketKind, PacketView, WireElems, WorkerId};
+use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
 use switchml_core::switch::SwitchStats;
-use switchml_core::worker::engine::{EngineConfig, EngineStats, ResultOutcome, SlotEngine};
+use switchml_core::worker::engine::{
+    EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
+};
 
 /// Timer-wheel granularity. Coarse relative to packet service time,
 /// fine relative to any sane RTO (the runners clamp RTOs to ≥ 100 µs
@@ -57,12 +62,6 @@ pub(crate) const WHEEL_TICK_NS: TimeNs = 50_000;
 /// comfortably above the RTO range, so cascades only occur under
 /// heavy exponential backoff.
 pub(crate) const WHEEL_BUCKETS: usize = 256;
-
-/// Idle sleep cap. An idle reactor thread naps at most this long, so
-/// it stays responsive to traffic while yielding the core to the
-/// shard threads — essential on hosts with fewer hardware threads
-/// than OS threads.
-const IDLE_NAP_NS: u64 = 100_000;
 
 /// Event-loop health counters, aggregated over all reactor threads of
 /// a run and surfaced through [`RunReport::reactor`].
@@ -108,17 +107,112 @@ impl ReactorStats {
     }
 }
 
+/// The input prologue every engine runner shares: Fixed32 only, one
+/// update set per worker, identical tensor shapes across workers; each
+/// worker's tensors flattened into one stream that its engines read.
+pub(crate) struct FlatInputs {
+    shapes: Vec<usize>,
+    /// Per-worker flattened tensors, shared read-only by its engines.
+    flat: Vec<Arc<Vec<f32>>>,
+    /// Elements per flattened stream.
+    pub(crate) total: usize,
+}
+
+impl FlatInputs {
+    pub(crate) fn new(
+        runner: &str,
+        proto: &Protocol,
+        updates: Vec<Vec<Vec<f32>>>,
+    ) -> Result<FlatInputs> {
+        if proto.mode != NumericMode::Fixed32 {
+            return Err(Error::InvalidConfig(format!(
+                "{runner} runner supports Fixed32 only"
+            )));
+        }
+        if updates.len() != proto.n_workers {
+            return Err(Error::InvalidConfig(format!(
+                "need {} update sets, got {}",
+                proto.n_workers,
+                updates.len()
+            )));
+        }
+        let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
+        for (w, tensors) in updates.iter().enumerate() {
+            if !tensors.iter().map(|t| t.len()).eq(shapes.iter().copied()) {
+                return Err(Error::InvalidConfig(format!(
+                    "worker {w}'s tensor shapes disagree with worker 0's"
+                )));
+            }
+        }
+        let flat = updates
+            .into_iter()
+            .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
+            .collect();
+        let total = shapes.iter().sum();
+        Ok(FlatInputs {
+            shapes,
+            flat,
+            total,
+        })
+    }
+
+    /// Split a flattened result back into the caller's tensor shapes.
+    pub(crate) fn split(&self, flat_result: &[f32]) -> Vec<Vec<f32>> {
+        let mut off = 0usize;
+        self.shapes
+            .iter()
+            .map(|&len| {
+                off += len;
+                flat_result[off - len..off].to_vec()
+            })
+            .collect()
+    }
+}
+
+/// Quantize + encode one update into a staged batch frame, entirely
+/// within reused scratch buffers, stamped with job generation `epoch`.
+#[allow(clippy::too_many_arguments)]
+fn stage_update(
+    txb: &mut TxBatch,
+    dest: usize,
+    wid: WorkerId,
+    k: usize,
+    data: &[f32],
+    f: f64,
+    qbuf: &mut [i32],
+    d: SendDescriptor,
+    epoch: u8,
+) {
+    let off = d.off as usize;
+    let n = k.min(data.len() - off);
+    quantize_chunk(&data[off..off + n], f, &mut qbuf[..n]);
+    // The wire format always carries exactly k elements; a ragged
+    // final chunk is zero-padded (additive identity).
+    qbuf[n..k].fill(0);
+    encode_update_into(
+        wid,
+        d.ver,
+        d.slot,
+        d.off,
+        epoch,
+        d.retransmission,
+        &qbuf[..k],
+        txb.push(dest),
+    );
+}
+
 /// Everything one worker engine needs, owned exclusively by its
 /// reactor thread.
-struct EngineCtx<P: Port> {
+pub(crate) struct EngineCtx<P: Port> {
     port: P,
     engine: SlotEngine,
-    shard_ep: usize,
+    /// Where updates go: a switch shard, or the rack's leaf.
+    dest: usize,
+    /// Wire worker id: the global index on a flat fabric, the
+    /// rack-local index on a tree.
     wid: WorkerId,
-    /// Worker index (for result placement at join).
+    /// Global worker index (for result placement at join).
     w: usize,
-    /// Core index (for result placement at join).
-    j: usize,
     data: Arc<Vec<f32>>,
     elem_lo: usize,
     /// This engine's slice of the aggregated tensor.
@@ -130,18 +224,85 @@ struct EngineCtx<P: Port> {
     /// Set by the wheel sweep, consumed right after it: this engine
     /// retransmitted and its timer must be re-armed.
     pending_rearm: bool,
+    /// The rack's epoch and snapshot rendezvous (tree runs only);
+    /// without one the job generation is a constant 0.
+    rack: Option<RackLink>,
 }
 
 impl<P: Port> EngineCtx<P> {
+    /// An engine over `ecfg`'s slot/chunk partition of worker `w`'s
+    /// flattened tensor, sending its updates to endpoint `dest`.
+    pub(crate) fn new(
+        port: P,
+        ecfg: EngineConfig,
+        dest: usize,
+        w: usize,
+        inputs: &FlatInputs,
+        burst: usize,
+        rack: Option<RackLink>,
+    ) -> Result<Self> {
+        let k = ecfg.k;
+        let elem_lo = (ecfg.chunk_base as usize * k).min(inputs.total);
+        let elem_hi = ((ecfg.chunk_base + ecfg.n_chunks) as usize * k).min(inputs.total);
+        Ok(EngineCtx {
+            port,
+            wid: ecfg.wid,
+            engine: SlotEngine::new(ecfg)?,
+            dest,
+            w,
+            data: Arc::clone(&inputs.flat[w]),
+            elem_lo,
+            local: vec![0.0f32; elem_hi - elem_lo],
+            qbuf: vec![0i32; k],
+            rxb: BurstBuf::new(burst, SCRATCH_CAPACITY),
+            txb: TxBatch::new(SCRATCH_CAPACITY),
+            done: false,
+            pending_rearm: false,
+            rack,
+        })
+    }
+
+    fn epoch(&self) -> u8 {
+        self.rack.as_ref().map_or(0, RackLink::epoch)
+    }
+
+    /// Stage and flush the engine's sends, stamped with the current
+    /// epoch.
+    fn emit(&mut self, sends: Vec<SendDescriptor>, k: usize, f: f64) {
+        let epoch = self.epoch();
+        for d in sends {
+            stage_update(
+                &mut self.txb,
+                self.dest,
+                self.wid,
+                k,
+                &self.data,
+                f,
+                &mut self.qbuf,
+                d,
+                epoch,
+            );
+        }
+        self.txb.flush(&mut self.port);
+    }
+
+    /// Mark the engine done. Terminal snapshot publish: this thread
+    /// may exit before the leaf ever asks.
+    fn finish(&mut self) {
+        self.done = true;
+        if let Some(rack) = &self.rack {
+            rack.publish(&self.engine);
+        }
+    }
+
     /// Drain one received burst into the engine: accept results,
     /// dequantize into the local slice, stage follow-up updates.
-    /// Identical per-packet logic to the threaded runner's `core_loop`
-    /// — only the surrounding loop structure differs.
     fn process_rx(&mut self, k: usize, f: f64, now: TimeNs) -> Result<()> {
+        let epoch = self.epoch();
         let EngineCtx {
             port,
             engine,
-            shard_ep,
+            dest,
             wid,
             data,
             elem_lo,
@@ -155,12 +316,16 @@ impl<P: Port> EngineCtx<P> {
             let Ok(view) = PacketView::parse(frame) else {
                 continue; // corrupted / foreign datagram
             };
-            // Defensive filters, as in the threaded runner: only
-            // full-k results for slots this engine owns.
-            if view.kind() != PacketKind::Result || !engine.owns_slot(view.idx()) {
-                continue;
-            }
-            if view.k() != k {
+            // Defensive filters: only full-k results for slots this
+            // engine owns. The epoch filter is the worker half of
+            // rack-scoped fencing: results multicast by a dead leaf
+            // generation must not advance this engine past the
+            // snapshot it will publish for the replacement.
+            if view.kind() != PacketKind::Result
+                || !engine.owns_slot(view.idx())
+                || view.k() != k
+                || view.epoch() != epoch
+            {
                 continue;
             }
             match engine.on_result(view.idx(), view.ver(), view.off(), now)? {
@@ -176,7 +341,7 @@ impl<P: Port> EngineCtx<P> {
                         &mut local[off - *elem_lo..off - *elem_lo + n],
                     );
                     if let Some(d) = next {
-                        stage_update(txb, *shard_ep, *wid, k, data, f, qbuf, d);
+                        stage_update(txb, *dest, *wid, k, data, f, qbuf, d, epoch);
                     }
                 }
                 ResultOutcome::Stale => {}
@@ -187,22 +352,24 @@ impl<P: Port> EngineCtx<P> {
     }
 }
 
+/// What one reactor thread hands back: each engine's
+/// `(worker, elem_lo, result slice, stats)`, the summed port stats,
+/// and the thread's loop counters.
+type ThreadOutcome = (
+    Vec<(usize, usize, Vec<f32>, EngineStats)>,
+    PortStats,
+    ReactorStats,
+);
+
 /// One reactor thread: run-to-completion over its owned engines.
-/// Returns each engine's result slice + stats, the summed port stats,
-/// and this thread's loop counters.
-#[allow(clippy::type_complexity)]
 fn reactor_thread_loop<P: Port>(
     mut ctxs: Vec<EngineCtx<P>>,
     k: usize,
     f: f64,
-    epoch: Instant,
+    epoch0: Instant,
     deadline: Instant,
-) -> Result<(
-    Vec<(usize, usize, Vec<f32>, EngineStats)>,
-    PortStats,
-    ReactorStats,
-)> {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
+) -> Result<ThreadOutcome> {
+    let now_ns = || epoch0.elapsed().as_nanos() as u64;
     let mut wheel = TimerWheel::new(ctxs.len(), WHEEL_TICK_NS, WHEEL_BUCKETS);
     let mut stats = ReactorStats {
         threads: 1,
@@ -214,22 +381,10 @@ fn reactor_thread_loop<P: Port>(
     // Launch phase: emit every engine's initial window and arm its
     // timer from its own deadline.
     for (i, ctx) in ctxs.iter_mut().enumerate() {
-        let t = now_ns();
-        for d in ctx.engine.start(t) {
-            stage_update(
-                &mut ctx.txb,
-                ctx.shard_ep,
-                ctx.wid,
-                k,
-                &ctx.data,
-                f,
-                &mut ctx.qbuf,
-                d,
-            );
-        }
-        ctx.txb.flush(&mut ctx.port);
+        let sends = ctx.engine.start(now_ns());
+        ctx.emit(sends, k, f);
         if ctx.engine.is_done() {
-            ctx.done = true; // zero-chunk engine
+            ctx.finish(); // zero-chunk engine
         } else {
             pending += 1;
             if let Some(dl) = ctx.engine.next_deadline() {
@@ -238,7 +393,10 @@ fn reactor_thread_loop<P: Port>(
         }
     }
 
-    let mut idle_streak = 0u32;
+    // A quiet loop yields, a persistently quiet loop naps until the
+    // next deadline (capped) — this is what lets dozens of engines
+    // share one hardware thread with the switch threads.
+    let mut idle = IdleBackoff::new();
     while pending > 0 {
         if Instant::now() > deadline {
             let stuck: Vec<String> = ctxs
@@ -246,9 +404,9 @@ fn reactor_thread_loop<P: Port>(
                 .filter(|c| !c.done)
                 .map(|c| {
                     format!(
-                        "w{}c{} {}/{}",
+                        "w{}@ep{} {}/{}",
                         c.w,
-                        c.j,
+                        c.dest,
                         c.engine.completed_chunks(),
                         c.engine.config().n_chunks
                     )
@@ -263,6 +421,12 @@ fn reactor_thread_loop<P: Port>(
 
         // Poll phase: one non-blocking burst receive per live engine.
         for (i, ctx) in ctxs.iter_mut().enumerate() {
+            // Snapshot requests are checked *before* any packet work:
+            // once published, the engine can only advance on results
+            // stamped with the new epoch.
+            if let Some(rack) = &mut ctx.rack {
+                rack.poll_snapshot(&ctx.engine);
+            }
             if ctx.done {
                 continue;
             }
@@ -272,7 +436,7 @@ fn reactor_thread_loop<P: Port>(
                 progress = true;
                 ctx.process_rx(k, f, now_ns())?;
                 if ctx.engine.is_done() {
-                    ctx.done = true;
+                    ctx.finish();
                     pending -= 1;
                     wheel.cancel(i);
                 } else if let Some(dl) = ctx.engine.next_deadline() {
@@ -292,19 +456,8 @@ fn reactor_thread_loop<P: Port>(
             if ctx.done {
                 return;
             }
-            for d in ctx.engine.expired(t) {
-                stage_update(
-                    &mut ctx.txb,
-                    ctx.shard_ep,
-                    ctx.wid,
-                    k,
-                    &ctx.data,
-                    f,
-                    &mut ctx.qbuf,
-                    d,
-                );
-            }
-            ctx.txb.flush(&mut ctx.port);
+            let sends = ctx.engine.expired(t);
+            ctx.emit(sends, k, f);
             ctx.pending_rearm = true;
         });
         // Re-arm outside the sweep (the wheel is borrowed during it).
@@ -321,47 +474,89 @@ fn reactor_thread_loop<P: Port>(
             progress = true;
         }
 
-        // Idle backoff: a quiet loop yields, a persistently quiet loop
-        // naps until the next deadline (capped) — this is what lets
-        // dozens of engines share one hardware thread with the shard
-        // threads without starving them.
         if progress {
-            idle_streak = 0;
+            idle.progress();
         } else {
-            idle_streak += 1;
-            if idle_streak == 1 {
-                std::thread::yield_now();
-            } else {
-                let nap = wheel
-                    .next_deadline()
-                    .map(|d| d.saturating_sub(now_ns()))
-                    .unwrap_or(IDLE_NAP_NS)
-                    .clamp(1, IDLE_NAP_NS);
-                std::thread::sleep(Duration::from_nanos(nap));
-                stats.idle_sleeps += 1;
-            }
+            idle.idle(wheel.next_deadline().map(|d| d.saturating_sub(now_ns())));
         }
     }
     stats.cascades = wheel.cascades();
+    stats.idle_sleeps = idle.naps();
 
     let mut port_stats = PortStats::default();
     let mut out = Vec::with_capacity(ctxs.len());
     for ctx in ctxs {
         port_stats.merge(ctx.port.stats());
-        out.push((ctx.w, ctx.j, ctx.local, ctx.engine.stats()));
+        out.push((ctx.w, ctx.elem_lo, ctx.local, ctx.engine.stats()));
     }
     Ok((out, port_stats, stats))
 }
 
+/// What a run's engines hand back at join, stitched per worker.
+pub(crate) struct EnginesOutcome {
+    /// Per-worker flattened result tensors.
+    pub(crate) results: Vec<Vec<f32>>,
+    pub(crate) worker_stats: Vec<EngineStats>,
+    pub(crate) port_stats: PortStats,
+    pub(crate) reactor: ReactorStats,
+}
+
+/// Drive `batches` — one per reactor thread — to completion, then
+/// stitch each engine's slice into its worker's flattened result.
+pub(crate) fn run_engines<P: Port>(
+    batches: Vec<Vec<EngineCtx<P>>>,
+    inputs: &FlatInputs,
+    proto: &Protocol,
+    epoch0: Instant,
+    deadline: Instant,
+) -> Result<EnginesOutcome> {
+    let (k, f) = (proto.k, proto.scaling_factor);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = batches
+            .into_iter()
+            .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, k, f, epoch0, deadline)))
+            .collect();
+        let mut out = EnginesOutcome {
+            results: vec![Vec::new(); proto.n_workers],
+            worker_stats: vec![EngineStats::default(); proto.n_workers],
+            port_stats: PortStats::default(),
+            reactor: ReactorStats::default(),
+        };
+        let mut first_err = None;
+        for h in handles {
+            match h.join().expect("reactor thread panicked") {
+                Ok((engines, ps, rs)) => {
+                    out.port_stats.merge(ps);
+                    out.reactor.merge(rs);
+                    for (w, lo, local, st) in engines {
+                        let dst = &mut out.results[w];
+                        if local.len() == inputs.total {
+                            *dst = local; // the whole tensor: move, don't copy
+                        } else {
+                            dst.resize(inputs.total, 0.0);
+                            dst[lo..lo + local.len()].copy_from_slice(&local);
+                        }
+                        out.worker_stats[w].merge(st);
+                    }
+                }
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(out), Err)
+    })
+}
+
 /// Run one all-reduce with `cfg.n_cores` switch shards and **all**
 /// `n_workers × n_cores` worker engines multiplexed onto at most
-/// `n_threads` reactor threads — the run-to-completion counterpart of
-/// [`crate::shard::run_allreduce_sharded`], bit-identical to it (and
-/// to the sequential reference) on the same inputs.
+/// `n_threads` reactor threads; `n_threads = n_workers × n_cores`
+/// gives every engine its own thread. Bit-identical to the sequential
+/// reference on the same inputs.
 ///
-/// `ports` uses the identical sharded endpoint layout
-/// ([`sharded_fabric_size`]); only [`NumericMode::Fixed32`] is
-/// supported, as in the sharded runner.
+/// `ports` holds [`sharded_fabric_size`] endpoints: shard `j` is
+/// endpoint `j`, worker `w`'s core `j` is
+/// [`crate::shard::worker_core_endpoint`]. Only
+/// [`NumericMode::Fixed32`] is supported: engines quantize directly
+/// from the flattened tensor.
 pub fn run_allreduce_reactor<P: Port + 'static>(
     ports: Vec<P>,
     updates: Vec<Vec<Vec<f32>>>,
@@ -372,11 +567,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
     let proto = &resolve_run_proto(proto, &ports)?;
     let n = proto.n_workers;
     let c = cfg.n_cores;
-    if proto.mode != NumericMode::Fixed32 {
-        return Err(Error::InvalidConfig(
-            "reactor runner supports Fixed32 only".into(),
-        ));
-    }
+    let inputs = FlatInputs::new("reactor", proto, updates)?;
     if c == 0 {
         return Err(Error::InvalidConfig("n_cores must be > 0".into()));
     }
@@ -388,13 +579,6 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             "{c} cores need at least {c} pool slots"
         )));
     }
-    if updates.len() != n {
-        return Err(Error::InvalidConfig(format!(
-            "need {} update sets, got {}",
-            n,
-            updates.len()
-        )));
-    }
     if ports.len() != sharded_fabric_size(n, c) {
         return Err(Error::InvalidConfig(format!(
             "need {} ports ({c} shards + {n}×{c} worker cores), got {}",
@@ -402,161 +586,75 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             ports.len()
         )));
     }
-    let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
-    for (w, tensors) in updates.iter().enumerate() {
-        let s: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-        if s != shapes {
-            return Err(Error::InvalidConfig(format!(
-                "worker {w}'s tensor shapes disagree with worker 0's"
-            )));
-        }
-    }
     // More threads than engines is pointless; shrink silently.
     let n_threads = n_threads.min(n * c);
-
-    let flat: Vec<Arc<Vec<f32>>> = updates
-        .into_iter()
-        .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
-        .collect();
-    let total: usize = shapes.iter().sum();
-    let total_chunks = (total as u64).div_ceil(proto.k as u64);
-    let k = proto.k;
-    let f = proto.scaling_factor;
+    let total_chunks = (inputs.total as u64).div_ceil(proto.k as u64);
     let s = proto.pool_size;
 
     let t0 = Instant::now();
-    let epoch = t0;
     let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    // Peel the fabric apart exactly as the sharded runner does.
-    let mut ports = ports;
-    let mut core_ports: Vec<Vec<P>> = Vec::with_capacity(n);
-    let mut rest = ports.split_off(c);
-    for _ in 0..n {
-        let tail = rest.split_off(c);
-        core_ports.push(rest);
-        rest = tail;
-    }
-    let shard_ports = ports;
+    let stop = AtomicBool::new(false);
 
     // Build every (worker, core) engine context, then deal them
-    // round-robin into per-thread batches: engine (w·c + j) goes to
-    // thread (w·c + j) mod n_threads. Round-robin (rather than
-    // contiguous blocks) spreads each worker's cores across threads,
-    // so one slow thread delays every worker a little instead of one
-    // worker a lot.
+    // round-robin into per-thread batches: engine e = w·c + j (the
+    // fabric order past the shards) goes to thread e mod n_threads.
+    // Round-robin (rather than contiguous blocks) spreads each
+    // worker's cores across threads, so one slow thread delays every
+    // worker a little instead of one worker a lot.
+    let mut ports = ports.into_iter();
+    let shard_ports: Vec<P> = ports.by_ref().take(c).collect();
     let mut batches: Vec<Vec<EngineCtx<P>>> = (0..n_threads).map(|_| Vec::new()).collect();
-    for (w, worker_ports) in core_ports.into_iter().enumerate() {
-        for (j, port) in worker_ports.into_iter().enumerate() {
-            let slot_lo = j * s / c;
-            let slot_hi = (j + 1) * s / c;
-            let chunk_lo = (j as u64) * total_chunks / c as u64;
-            let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-            let ecfg = EngineConfig {
-                wid: w as WorkerId,
-                k,
-                slot_base: slot_lo as u32,
-                n_slots: slot_hi - slot_lo,
-                chunk_base: chunk_lo,
-                n_chunks: chunk_hi - chunk_lo,
-                rto: Some(proto.rto_ns),
-                rto_policy: proto.rto_policy,
-            };
-            let elem_lo = (chunk_lo as usize * k).min(total);
-            let elem_hi = (chunk_hi as usize * k).min(total);
-            let ctx = EngineCtx {
-                port,
-                engine: SlotEngine::new(ecfg)?,
-                shard_ep: shard_endpoint(j),
-                wid: w as WorkerId,
-                w,
-                j,
-                data: Arc::clone(&flat[w]),
-                elem_lo,
-                local: vec![0.0f32; elem_hi - elem_lo],
-                qbuf: vec![0i32; k],
-                rxb: BurstBuf::new(cfg.burst, SCRATCH_CAPACITY),
-                txb: TxBatch::new(SCRATCH_CAPACITY),
-                done: false,
-                pending_rearm: false,
-            };
-            batches[(w * c + j) % n_threads].push(ctx);
-        }
+    for (e, port) in ports.enumerate() {
+        let (w, j) = (e / c, e % c);
+        // The partition Worker::sharded applies: slots and chunks
+        // both split j·x/c contiguously, so core j's slots all live
+        // on shard j.
+        let chunk_lo = (j as u64) * total_chunks / c as u64;
+        let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
+        let ecfg = EngineConfig {
+            wid: w as WorkerId,
+            k: proto.k,
+            slot_base: (j * s / c) as u32,
+            n_slots: (j + 1) * s / c - j * s / c,
+            chunk_base: chunk_lo,
+            n_chunks: chunk_hi - chunk_lo,
+            rto: Some(proto.rto_ns),
+            rto_policy: proto.rto_policy,
+        };
+        let ctx = EngineCtx::new(port, ecfg, shard_endpoint(j), w, &inputs, cfg.burst, None)?;
+        batches[e % n_threads].push(ctx);
     }
 
     std::thread::scope(|scope| {
+        let stop = &stop;
         let shard_handles: Vec<_> = shard_ports
             .into_iter()
             .enumerate()
             .map(|(j, port)| {
-                let stop = Arc::clone(&stop);
-                let proto = proto.clone();
-                let burst = cfg.burst;
-                scope.spawn(move || shard_switch_loop(port, j, c, burst, &proto, &stop, deadline))
+                scope.spawn(move || shard_switch_loop(port, j, c, cfg.burst, proto, stop, deadline))
             })
             .collect();
-
-        let reactor_handles: Vec<_> = batches
-            .into_iter()
-            .map(|ctxs| scope.spawn(move || reactor_thread_loop(ctxs, k, f, epoch, deadline)))
-            .collect();
-
-        // Gather: each thread hands back (w, j, slice, stats); stitch
-        // the slices into per-worker tensors by the same arithmetic
-        // that assigned them.
-        let mut flat_results: Vec<Vec<f32>> = (0..n).map(|_| vec![0.0f32; total]).collect();
-        let mut worker_stats = vec![EngineStats::default(); n];
-        let mut transport_stats = PortStats::default();
-        let mut reactor_stats = ReactorStats::default();
-        let mut first_err = None;
-        for h in reactor_handles {
-            match h.join().expect("reactor thread panicked") {
-                Ok((engines, ps, rs)) => {
-                    transport_stats.merge(ps);
-                    reactor_stats.merge(rs);
-                    for (w, j, local, st) in engines {
-                        let chunk_lo = (j as u64) * total_chunks / c as u64;
-                        let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                        let lo = (chunk_lo as usize * k).min(total);
-                        let hi = (chunk_hi as usize * k).min(total);
-                        debug_assert_eq!(hi - lo, local.len());
-                        flat_results[w][lo..hi].copy_from_slice(&local);
-                        worker_stats[w].merge(st);
-                    }
-                }
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
+        let engines = run_engines(batches, &inputs, proto, t0, deadline);
         stop.store(true, Ordering::Release);
         let mut switch_stats = SwitchStats::default();
+        let mut transport_stats = PortStats::default();
         for h in shard_handles {
             let (st, ps) = h.join().expect("switch shard thread panicked")?;
             switch_stats.merge(st);
             transport_stats.merge(ps);
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-
-        let results = flat_results
-            .into_iter()
-            .map(|flat_result| {
-                let mut tensors = Vec::with_capacity(shapes.len());
-                let mut off = 0usize;
-                for &len in &shapes {
-                    tensors.push(flat_result[off..off + len].to_vec());
-                    off += len;
-                }
-                tensors
-            })
-            .collect();
+        let engines = engines?;
+        transport_stats.merge(engines.port_stats);
         Ok(RunReport {
-            results,
-            worker_stats,
+            results: engines
+                .results
+                .into_iter()
+                .map(|r| inputs.split(&r))
+                .collect(),
+            worker_stats: engines.worker_stats,
             switch_stats,
             transport_stats,
-            reactor: Some(reactor_stats),
+            reactor: Some(engines.reactor),
             hier: None,
             wall: t0.elapsed(),
         })
@@ -567,11 +665,12 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::chaos::ScriptedPort;
-    use crate::lossy::lossy_fabric;
-    use crate::shard::{run_allreduce_sharded, sharded_channel_fabric};
+    use crate::faulty::{faulty_fabric, FaultyConfig};
+    use crate::shard::{sharded_channel_fabric, worker_core_endpoint};
     use crate::udp::udp_fabric;
     use switchml_core::agg::allreduce;
     use switchml_core::config::RtoPolicy;
+    use switchml_core::packet::PoolVersion;
 
     fn proto(n: usize) -> Protocol {
         Protocol {
@@ -594,35 +693,55 @@ mod tests {
             .collect()
     }
 
-    /// Three-way differential: reactor == threaded sharded == the
-    /// sequential in-process reference, bit for bit, on a ragged
-    /// tensor.
+    /// Two tensors of different sizes per worker: the flatten/split
+    /// must be invisible to the caller.
+    fn multi_tensor_updates(n: usize) -> Vec<Vec<Vec<f32>>> {
+        (0..n)
+            .map(|w| {
+                vec![
+                    vec![(w + 1) as f32; 37],
+                    (0..100).map(|i| (w as f32) + i as f32 * 0.01).collect(),
+                ]
+            })
+            .collect()
+    }
+
+    /// Three-way differential: the reactor multiplexing engines onto
+    /// two threads == the reactor with one thread per engine == the
+    /// sequential in-process reference, bit for bit — on a ragged
+    /// single tensor and on a multi-tensor input.
     #[test]
     fn reactor_matches_threaded_and_reference() {
         let n = 3;
         let c = 2;
-        let elems = 333; // ragged final chunk
         let p = proto(n);
         let cfg = RunConfig {
             n_cores: c,
             ..RunConfig::default()
         };
-        let reactor =
-            run_allreduce_reactor(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg, 2)
-                .unwrap();
-        let threaded =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates(n, elems), &p, &cfg)
-                .unwrap();
-        let reference = allreduce(&updates(n, elems), &p).unwrap();
-        for w in 0..n {
-            assert_eq!(reactor.results[w], threaded.results[w], "worker {w}");
-            assert_eq!(reactor.results[w], reference, "worker {w} vs reference");
+        // 333 elements leave a ragged final chunk.
+        for input in [updates(n, 333), multi_tensor_updates(n)] {
+            let reactor =
+                run_allreduce_reactor(sharded_channel_fabric(n, c), input.clone(), &p, &cfg, 2)
+                    .unwrap();
+            let threaded =
+                run_allreduce_reactor(sharded_channel_fabric(n, c), input.clone(), &p, &cfg, n * c)
+                    .unwrap();
+            let reference = allreduce(&input, &p).unwrap();
+            for w in 0..n {
+                assert_eq!(reactor.results[w], threaded.results[w], "worker {w}");
+                assert_eq!(reactor.results[w], reference, "worker {w} vs reference");
+            }
+            let total: usize = input[0].iter().map(|t| t.len()).sum();
+            // Every chunk completes exactly once, summed across shards.
+            assert_eq!(reactor.switch_stats.completions, total.div_ceil(8) as u64);
+            let rs = reactor.reactor.expect("reactor stats present");
+            assert_eq!(rs.threads, 2);
+            assert_eq!(rs.engines, (n * c) as u64);
+            assert!(rs.polls > 0);
+            assert!(rs.rx_batches > 0);
+            assert_eq!(threaded.reactor.unwrap().threads, (n * c) as u64);
         }
-        let rs = reactor.reactor.expect("reactor stats present");
-        assert_eq!(rs.threads, 2);
-        assert_eq!(rs.engines, (n * c) as u64);
-        assert!(rs.polls > 0);
-        assert!(rs.rx_batches > 0);
     }
 
     /// The headline scaling case: 64 virtual workers on 4 reactor
@@ -652,13 +771,12 @@ mod tests {
         assert!(rs.engines_per_thread() >= 16.0);
     }
 
-    /// Loss + adaptive RTO on the wheel: retransmissions recover the
-    /// run, Jacobson's estimator takes clean samples, and the answer
-    /// is still exact.
+    /// Loss + adaptive RTO on the wheel, at 2 and 4 cores per worker:
+    /// retransmissions recover the run, Jacobson's estimator takes
+    /// clean samples, and the answer is still exact.
     #[test]
     fn reactor_loss_with_adaptive_rto_recovers() {
         let n = 2;
-        let c = 2;
         let elems = 400;
         let p = Protocol {
             rto_policy: RtoPolicy::Adaptive {
@@ -667,22 +785,28 @@ mod tests {
             },
             ..proto(n)
         };
-        let (ports, loss_stats) = lossy_fabric(sharded_channel_fabric(n, c), 0.05, 77);
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
-        };
-        let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 2).unwrap();
-        let reference = allreduce(&updates(n, elems), &p).unwrap();
-        for w in 0..n {
-            assert_eq!(report.results[w], reference, "worker {w}");
+        for c in [2, 4] {
+            let (ports, loss_stats) = faulty_fabric(
+                sharded_channel_fabric(n, c),
+                FaultyConfig::loss_only(0.05),
+                77,
+            );
+            let cfg = RunConfig {
+                n_cores: c,
+                ..RunConfig::default()
+            };
+            let report = run_allreduce_reactor(ports, updates(n, elems), &p, &cfg, 2).unwrap();
+            let reference = allreduce(&updates(n, elems), &p).unwrap();
+            for w in 0..n {
+                assert_eq!(report.results[w], reference, "cores {c} worker {w}");
+            }
+            assert!(loss_stats.dropped() > 0, "5% loss should drop something");
+            let retx: u64 = report.worker_stats.iter().map(|s| s.retx).sum();
+            assert!(retx > 0, "losses must trigger wheel-driven retransmissions");
+            let samples: u64 = report.worker_stats.iter().map(|s| s.rtt_samples).sum();
+            assert!(samples > 0, "adaptive estimator must take clean samples");
+            assert!(report.reactor.unwrap().timer_fires > 0);
         }
-        assert!(loss_stats.dropped() > 0, "5% loss should drop something");
-        let retx: u64 = report.worker_stats.iter().map(|s| s.retx).sum();
-        assert!(retx > 0, "losses must trigger wheel-driven retransmissions");
-        let samples: u64 = report.worker_stats.iter().map(|s| s.rtt_samples).sum();
-        assert!(samples > 0, "adaptive estimator must take clean samples");
-        assert!(report.reactor.unwrap().timer_fires > 0);
     }
 
     /// A straggling engine (its port stalls every receive) delays but
@@ -719,6 +843,27 @@ mod tests {
         }
     }
 
+    /// A stray update from a worker id outside the job (wid 7 of 2) is
+    /// counted and dropped by the switch shard, which keeps serving:
+    /// the run still completes bit-identical.
+    #[test]
+    fn reactor_stray_update_is_counted_and_dropped() {
+        let n = 2;
+        let elems = 200;
+        let p = proto(n);
+        let mut ports = sharded_channel_fabric(n, 1);
+        let mut stray = Vec::new();
+        encode_update_into(7, PoolVersion::V0, 0, 0, 0, false, &[1; 8], &mut stray);
+        ports[worker_core_endpoint(0, 0, 1)].send(shard_endpoint(0), &stray);
+        let report =
+            run_allreduce_reactor(ports, updates(n, elems), &p, &RunConfig::default(), 2).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        assert_eq!(report.switch_stats.rejected, 1);
+    }
+
     /// Real kernel datagrams through the zero-timeout poll path.
     #[test]
     fn reactor_udp_smoke() {
@@ -749,7 +894,6 @@ mod tests {
     /// reference.
     #[test]
     fn reactor_udp_gro_loss_is_bit_identical() {
-        use crate::faulty::{faulty_fabric, FaultyConfig};
         let n = 2;
         let c = 2;
         let elems = 400;
@@ -790,32 +934,51 @@ mod tests {
             n_cores: 1,
             ..RunConfig::default()
         };
+        let run = |ports, updates, p: &Protocol, cfg: &RunConfig, threads| {
+            run_allreduce_reactor(ports, updates, p, cfg, threads).is_err()
+        };
         // Zero reactor threads.
-        assert!(run_allreduce_reactor(
+        assert!(run(
             sharded_channel_fabric(n, 1),
             updates(n, 16),
             &proto(n),
             &cfg,
             0
-        )
-        .is_err());
+        ));
         // Wrong port count.
-        assert!(run_allreduce_reactor(
+        assert!(run(
             sharded_channel_fabric(n, 2),
             updates(n, 16),
             &proto(n),
             &cfg,
             1
-        )
-        .is_err());
+        ));
         // Non-Fixed32 mode.
         let p16 = Protocol {
             mode: NumericMode::Float16,
             ..proto(n)
         };
-        assert!(
-            run_allreduce_reactor(sharded_channel_fabric(n, 1), updates(n, 16), &p16, &cfg, 1)
-                .is_err()
-        );
+        assert!(run(
+            sharded_channel_fabric(n, 1),
+            updates(n, 16),
+            &p16,
+            &cfg,
+            1
+        ));
+        // More cores than pool slots.
+        let big = RunConfig {
+            n_cores: 32,
+            ..RunConfig::default()
+        };
+        assert!(run(
+            sharded_channel_fabric(n, 32),
+            updates(n, 16),
+            &proto(n),
+            &big,
+            1
+        ));
+        // Tensor shapes that disagree between workers.
+        let bad = vec![vec![vec![1.0f32; 8]], vec![vec![1.0f32; 9]]];
+        assert!(run(sharded_channel_fabric(n, 1), bad, &proto(n), &cfg, 1));
     }
 }

@@ -8,14 +8,13 @@
 //! Algorithm 3 verbatim.
 
 use crate::port::{BurstBuf, Port, PortStats, TxBatch, SWITCH_ENDPOINT};
+use crate::shard::shard_switch_loop;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use switchml_core::config::{Protocol, RtoPolicy, TimeNs};
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{Packet, PacketView, HEADER_LEN, MAX_K};
-use switchml_core::switch::reliable::ReliableSwitch;
-use switchml_core::switch::{SwitchStats, WireAction};
+use switchml_core::packet::{Packet, HEADER_LEN, MAX_K};
+use switchml_core::switch::SwitchStats;
 use switchml_core::worker::engine::EngineStats;
 use switchml_core::worker::stream::TensorStream;
 use switchml_core::worker::Worker;
@@ -111,7 +110,7 @@ pub fn clamp_rto_to_granule<P: Port>(proto: &Protocol, ports: &[P]) -> Protocol 
 /// actually executes: validate it, then raise the RTO floor to the
 /// fabric's receive-timeout granule ([`clamp_rto_to_granule`]).
 ///
-/// Every runner entry point — [`run_allreduce_session`], the sharded
+/// Every runner entry point — [`run_allreduce_session`], the reactor
 /// runner, the controlled runner, and any future multi-job scheduler
 /// loop — must pass its config through here exactly once, so a new
 /// entry point cannot forget the clamp and ship timers the transport
@@ -139,79 +138,6 @@ pub struct RunReport {
     /// ([`crate::hier::run_allreduce_hier`]).
     pub hier: Option<crate::hier::HierReport>,
     pub wall: Duration,
-}
-
-fn switch_loop<P: Port>(
-    mut port: P,
-    proto: &Protocol,
-    burst: usize,
-    stop: &AtomicBool,
-    deadline: Instant,
-) -> Result<(SwitchStats, PortStats)> {
-    let n = proto.n_workers;
-    let mut switch = ReliableSwitch::new(proto)?;
-    // Debug builds run the reference-model oracle from
-    // `switchml_core::oracle` in lock-step with the switch: any
-    // divergence from Algorithm 3 panics the thread instead of
-    // corrupting a gradient.
-    #[cfg(debug_assertions)]
-    let mut oracle = switchml_core::oracle::ReliableOracle::for_switch(&switch);
-    // The aggregation hot path is allocation-free: datagram bursts
-    // land in `rxb`'s preallocated frames, each is parsed as a
-    // borrowed [`PacketView`] and aggregated straight into the slot
-    // registers, and responses are encoded into `tx` then staged in
-    // `txb` — all storage reused for the lifetime of the thread. The
-    // whole burst is drained before the responses are flushed, so one
-    // send syscall covers the burst.
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    let mut tx = Vec::with_capacity(SCRATCH_CAPACITY);
-    while !stop.load(Ordering::Acquire) {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(
-                "switch thread exceeded the wall-clock budget".into(),
-            ));
-        }
-        if port.recv_batch(&mut rxb, Duration::from_micros(200)) == 0 {
-            continue;
-        }
-        txb.clear();
-        for (_from, frame) in rxb.iter() {
-            let Ok(view) = PacketView::parse(frame) else {
-                continue; // corrupted / foreign datagram
-            };
-            let action = switch.on_view(&view, &mut tx)?;
-            #[cfg(debug_assertions)]
-            if view.kind() == switchml_core::packet::PacketKind::Update {
-                if let Err(v) = oracle.observe_update(
-                    view.wid(),
-                    view.ver(),
-                    view.idx(),
-                    view.off(),
-                    &view,
-                    switchml_core::oracle::ObservedAction::of_wire(&action),
-                    &switch,
-                ) {
-                    panic!("switch thread violated a protocol invariant: {v}");
-                }
-            }
-            match action {
-                WireAction::Multicast => {
-                    for w in 0..n {
-                        txb.push(crate::port::worker_endpoint(w))
-                            .extend_from_slice(&tx);
-                    }
-                }
-                WireAction::Unicast(wid) => {
-                    txb.push(crate::port::worker_endpoint(wid as usize))
-                        .extend_from_slice(&tx);
-                }
-                WireAction::Drop => {}
-            }
-        }
-        txb.flush(&mut port);
-    }
-    Ok((switch.stats(), port.stats()))
 }
 
 /// Drive one worker until its current aggregation session completes.
@@ -386,18 +312,19 @@ pub fn run_allreduce_session<P: Port + 'static>(
 
     let t0 = Instant::now();
     let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
+    let stop = AtomicBool::new(false);
 
     let mut ports = ports;
     let worker_ports: Vec<P> = ports.drain(1..).collect();
     let switch_port = ports.pop().expect("switch port");
 
     std::thread::scope(|scope| {
+        // The switch is the flat switch loop with one shard:
+        // `worker_core_endpoint(w, 0, 1) == worker_endpoint(w)`.
         let switch_handle = {
-            let stop = Arc::clone(&stop);
-            let proto = proto.clone();
+            let stop = &stop;
             let burst = cfg.burst;
-            scope.spawn(move || switch_loop(switch_port, &proto, burst, &stop, deadline))
+            scope.spawn(move || shard_switch_loop(switch_port, 0, 1, burst, proto, stop, deadline))
         };
 
         let worker_handles: Vec<_> = worker_ports
@@ -459,7 +386,7 @@ pub fn run_allreduce_session<P: Port + 'static>(
 mod tests {
     use super::*;
     use crate::channel::channel_fabric;
-    use crate::lossy::lossy_fabric;
+    use crate::faulty::{faulty_fabric, FaultyConfig};
     use crate::udp::udp_fabric;
 
     fn proto(n: usize) -> Protocol {
@@ -581,7 +508,8 @@ mod tests {
     fn channel_allreduce_with_loss_recovers() {
         let n = 3;
         let elems = 400;
-        let (ports, stats) = lossy_fabric(channel_fabric(n + 1), 0.05, 99);
+        let (ports, stats) =
+            faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(0.05), 99);
         let report =
             run_allreduce(ports, updates(n, elems), &proto(n), &RunConfig::default()).unwrap();
         check(&report, n, elems);
@@ -661,7 +589,7 @@ mod tests {
         let rounds: Vec<Vec<Vec<Vec<f32>>>> = (0..4)
             .map(|r| (0..n).map(|w| vec![vec![(r + w) as f32; 64]]).collect())
             .collect();
-        let (ports, _) = lossy_fabric(channel_fabric(n + 1), 0.03, 123);
+        let (ports, _) = faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(0.03), 123);
         let report = run_allreduce_session(ports, rounds, &p, &RunConfig::default()).unwrap();
         for (r, round) in report.rounds.iter().enumerate() {
             let expect: f32 = (0..n).map(|w| (r + w) as f32).sum();
@@ -672,7 +600,7 @@ mod tests {
     #[test]
     fn total_blackout_times_out_cleanly() {
         let n = 2;
-        let (ports, _) = lossy_fabric(channel_fabric(n + 1), 1.0, 5);
+        let (ports, _) = faulty_fabric(channel_fabric(n + 1), FaultyConfig::loss_only(1.0), 5);
         let cfg = RunConfig {
             max_wall: Duration::from_millis(300),
             ..RunConfig::default()

@@ -1,33 +1,27 @@
-//! True multi-core sharded data plane: one thread per switch shard and
-//! one thread per (worker, core), with no locks anywhere on the
-//! aggregation path.
+//! The flat switch side of the data plane: one thread per switch
+//! shard, with no locks anywhere on the aggregation path.
 //!
 //! The paper's design (§3.5) shards "slots and chunks of tensors across
 //! cores without any shared state": the Tofino pipeline is naturally
 //! parallel per packet, and the DPDK workers pin one slot range + one
 //! contiguous chunk range to each core, with NIC Flow Director steering
-//! each result packet back to the core that owns its slot. This module
-//! reproduces that architecture in threads:
+//! each result packet back to the core that owns its slot. The switch
+//! becomes `n_cores` **shards**, each its own thread with its own
+//! [`ReliableSwitch`] and its own fabric endpoint. Shard `j` owns pool
+//! slots `[j·s/c, (j+1)·s/c)` — the identical partition the worker
+//! engines apply ([`crate::reactor`]), so a shard only ever receives
+//! updates for slots it owns and the shards never share a byte of
+//! state. The per-core endpoint plays the role of a
+//! Flow-Director-steered NIC queue: shard `j` multicasts results only
+//! to the `n` core-`j` endpoints.
 //!
-//! * The switch becomes `n_cores` **shards**, each its own thread with
-//!   its own [`ReliableSwitch`] and its own fabric endpoint. Shard `j`
-//!   owns pool slots `[j·s/c, (j+1)·s/c)` — the identical partition the
-//!   worker applies ([`switchml_core::worker::Worker::sharded`]), so a
-//!   shard only ever receives updates for slots it owns and the shards
-//!   never share a byte of state.
-//! * Each worker becomes `n_cores` **core threads**, each driving a
-//!   bare [`SlotEngine`] over its slot/chunk partition. The per-core
-//!   endpoint plays the role of a Flow-Director-steered NIC queue:
-//!   shard `j` multicasts results only to the `n` core-`j` endpoints,
-//!   so a core thread receives exactly the results for slots it owns.
-//!
-//! The per-packet path is allocation-free in steady state on both
-//! sides: core threads quantize with [`quantize_chunk`] into a reused
-//! `i32` scratch, encode with [`encode_update_into`] into a reused wire
-//! buffer, and parse results as borrowed [`PacketView`]s, dequantizing
-//! straight into the core-local slice of the result tensor; shards
-//! aggregate views into slot registers and encode responses from them
-//! ([`switchml_core::switch::reliable::ReliableSwitch::on_view`]).
+//! `shard_switch_loop` is the one flat switch loop: the plain
+//! runner's switch is shard 0 of 1 (`worker_core_endpoint(w, 0, 1) ==
+//! worker_endpoint(w)`), and so is the spine of a two-level tree.
+//! Shards aggregate borrowed [`PacketView`]s into slot registers and
+//! encode responses from them
+//! ([`switchml_core::switch::reliable::ReliableSwitch::on_view`]), so
+//! the per-packet path is allocation-free in steady state.
 //!
 //! ## Endpoint layout
 //!
@@ -37,19 +31,14 @@
 //! [`worker_core_endpoint`]).
 
 use crate::port::{BurstBuf, IdleBackoff, Port, PortStats, TxBatch};
-use crate::runner::{RunConfig, RunReport, SCRATCH_CAPACITY};
+use crate::runner::SCRATCH_CAPACITY;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use switchml_core::config::{NumericMode, Protocol};
+use switchml_core::config::Protocol;
 use switchml_core::error::{Error, Result};
-use switchml_core::packet::{encode_update_into, PacketKind, PacketView, WireElems, WorkerId};
-use switchml_core::quant::fixed::{dequantize_chunk, quantize_chunk};
+use switchml_core::packet::PacketView;
 use switchml_core::switch::reliable::ReliableSwitch;
 use switchml_core::switch::{SwitchStats, WireAction};
-use switchml_core::worker::engine::{
-    EngineConfig, EngineStats, ResultOutcome, SendDescriptor, SlotEngine,
-};
 
 /// Fabric endpoint of switch shard `j`.
 pub fn shard_endpoint(shard: usize) -> usize {
@@ -114,7 +103,12 @@ pub(crate) fn shard_switch_loop<P: Port>(
             let Ok(view) = PacketView::parse(frame) else {
                 continue; // corrupted / foreign datagram
             };
-            let action = switch.on_view(&view, &mut tx)?;
+            // A malformed update (bad slot, wid, k or phase offset) is
+            // counted in the switch's `rejected` stat and dropped; the
+            // shard keeps serving everyone else.
+            let Ok(action) = switch.on_view(&view, &mut tx) else {
+                continue;
+            };
             #[cfg(debug_assertions)]
             if view.kind() == switchml_core::packet::PacketKind::Update {
                 if let Err(v) = oracle.observe_update(
@@ -148,521 +142,10 @@ pub(crate) fn shard_switch_loop<P: Port>(
     Ok((switch.stats(), port.stats()))
 }
 
-/// Quantize + encode one update into a staged batch frame, entirely
-/// within reused scratch buffers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_update(
-    txb: &mut TxBatch,
-    shard_ep: usize,
-    wid: WorkerId,
-    k: usize,
-    data: &[f32],
-    f: f64,
-    qbuf: &mut [i32],
-    d: SendDescriptor,
-) {
-    let off = d.off as usize;
-    let n = k.min(data.len() - off);
-    quantize_chunk(&data[off..off + n], f, &mut qbuf[..n]);
-    // The wire format always carries exactly k elements; a ragged
-    // final chunk is zero-padded (additive identity).
-    qbuf[n..k].fill(0);
-    let tx = txb.push(shard_ep);
-    // Standalone sharded runs are job generation 0; epoch-bearing runs
-    // (shrink-and-resume) go through switchml-ctrl, which restamps.
-    encode_update_into(
-        wid,
-        d.ver,
-        d.slot,
-        d.off,
-        0,
-        d.retransmission,
-        &qbuf[..k],
-        tx,
-    );
-}
-
-/// One worker core: drives a bare [`SlotEngine`] over its slot/chunk
-/// partition, writing dequantized aggregates into a core-local result
-/// slice covering elements `[elem_lo, elem_hi)` of the flattened
-/// tensor. Returns that slice plus the engine's stats.
-#[allow(clippy::too_many_arguments)]
-fn core_loop<P: Port>(
-    mut port: P,
-    mut engine: SlotEngine,
-    shard_ep: usize,
-    wid: WorkerId,
-    k: usize,
-    burst: usize,
-    data: &[f32],
-    f: f64,
-    elem_lo: usize,
-    elem_hi: usize,
-    deadline: Instant,
-    epoch: Instant,
-) -> Result<(Vec<f32>, EngineStats, PortStats)> {
-    let now_ns = || epoch.elapsed().as_nanos() as u64;
-    let mut local = vec![0.0f32; elem_hi - elem_lo];
-    let mut qbuf = vec![0i32; k];
-    let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
-    let mut txb = TxBatch::new(SCRATCH_CAPACITY);
-    for d in engine.start(now_ns()) {
-        stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-    }
-    txb.flush(&mut port);
-    while !engine.is_done() {
-        if Instant::now() > deadline {
-            return Err(Error::ProtocolViolation(format!(
-                "worker {wid} core thread exceeded the wall-clock budget \
-                 ({}/{} chunks done)",
-                engine.completed_chunks(),
-                engine.config().n_chunks
-            )));
-        }
-        let wait = engine
-            .next_deadline()
-            .map(|d| d.saturating_sub(now_ns()))
-            .unwrap_or(1_000_000)
-            .clamp(1, 5_000_000); // poll at least every 5 ms
-        if port.recv_batch(&mut rxb, Duration::from_nanos(wait)) > 0 {
-            for (_from, frame) in rxb.iter() {
-                let Ok(view) = PacketView::parse(frame) else {
-                    continue;
-                };
-                // Defensive filters: only full-k results for slots this
-                // core owns. The endpoint layout makes violations
-                // impossible absent corruption.
-                if view.kind() == PacketKind::Result
-                    && engine.owns_slot(view.idx())
-                    && view.k() == k
-                {
-                    match engine.on_result(view.idx(), view.ver(), view.off(), now_ns())? {
-                        ResultOutcome::Accepted { off, next } => {
-                            // A ragged final chunk only carries n live
-                            // elements; the rest is padding.
-                            let off = off as usize;
-                            let n = k.min(data.len() - off);
-                            view.overwrite_into(&mut qbuf[..k]);
-                            dequantize_chunk(
-                                &qbuf[..n],
-                                f,
-                                &mut local[off - elem_lo..off - elem_lo + n],
-                            );
-                            if let Some(d) = next {
-                                stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-                            }
-                        }
-                        ResultOutcome::Stale => {}
-                    }
-                }
-            }
-        }
-        let t = now_ns();
-        if engine.next_deadline().is_some_and(|d| d <= t) {
-            for d in engine.expired(t) {
-                stage_update(&mut txb, shard_ep, wid, k, data, f, &mut qbuf, d);
-            }
-        }
-        txb.flush(&mut port);
-    }
-    Ok((local, engine.stats(), port.stats()))
-}
-
-/// Run one all-reduce with `cfg.n_cores` switch shards and
-/// `cfg.n_cores` threads per worker — the fully parallel counterpart of
-/// [`crate::runner::run_allreduce`], which drives all of a worker's
-/// engine shards from a single thread.
-///
-/// `ports` must hold [`sharded_fabric_size`] endpoints laid out as
-/// described in the module docs (build one with e.g.
-/// [`crate::channel::channel_fabric`] or [`sharded_channel_fabric`]).
-/// Only [`NumericMode::Fixed32`] is supported: core threads quantize
-/// directly from the flattened tensor rather than going through a
-/// [`switchml_core::worker::stream::TensorStream`].
-pub fn run_allreduce_sharded<P: Port + 'static>(
-    ports: Vec<P>,
-    updates: Vec<Vec<Vec<f32>>>,
-    proto: &Protocol,
-    cfg: &RunConfig,
-) -> Result<RunReport> {
-    let proto = &crate::runner::resolve_run_proto(proto, &ports)?;
-    let n = proto.n_workers;
-    let c = cfg.n_cores;
-    if proto.mode != NumericMode::Fixed32 {
-        return Err(Error::InvalidConfig(
-            "sharded runner supports Fixed32 only".into(),
-        ));
-    }
-    if c == 0 {
-        return Err(Error::InvalidConfig("n_cores must be > 0".into()));
-    }
-    if c > proto.pool_size {
-        return Err(Error::InvalidConfig(format!(
-            "{c} cores need at least {c} pool slots"
-        )));
-    }
-    if updates.len() != n {
-        return Err(Error::InvalidConfig(format!(
-            "need {} update sets, got {}",
-            n,
-            updates.len()
-        )));
-    }
-    if ports.len() != sharded_fabric_size(n, c) {
-        return Err(Error::InvalidConfig(format!(
-            "need {} ports ({c} shards + {n}×{c} worker cores), got {}",
-            sharded_fabric_size(n, c),
-            ports.len()
-        )));
-    }
-    let shapes: Vec<usize> = updates[0].iter().map(|t| t.len()).collect();
-    for (w, tensors) in updates.iter().enumerate() {
-        let s: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
-        if s != shapes {
-            return Err(Error::InvalidConfig(format!(
-                "worker {w}'s tensor shapes disagree with worker 0's"
-            )));
-        }
-    }
-
-    // Flatten each worker's tensors into one contiguous stream, shared
-    // read-only across its core threads.
-    let flat: Vec<Arc<Vec<f32>>> = updates
-        .into_iter()
-        .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
-        .collect();
-    let total: usize = shapes.iter().sum();
-    let total_chunks = (total as u64).div_ceil(proto.k as u64);
-    let k = proto.k;
-    let f = proto.scaling_factor;
-    let s = proto.pool_size;
-
-    let t0 = Instant::now();
-    let epoch = t0;
-    let deadline = t0 + cfg.max_wall;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut ports = ports;
-    // Peel off per-worker core ports (endpoints c..c·(n+1)), then the
-    // shard ports (endpoints 0..c).
-    let mut core_ports: Vec<Vec<P>> = Vec::with_capacity(n);
-    let mut rest = ports.split_off(c);
-    for _ in 0..n {
-        let tail = rest.split_off(c);
-        core_ports.push(rest);
-        rest = tail;
-    }
-    let shard_ports = ports;
-
-    std::thread::scope(|scope| {
-        let shard_handles: Vec<_> = shard_ports
-            .into_iter()
-            .enumerate()
-            .map(|(j, port)| {
-                let stop = Arc::clone(&stop);
-                let proto = proto.clone();
-                let burst = cfg.burst;
-                scope.spawn(move || shard_switch_loop(port, j, c, burst, &proto, &stop, deadline))
-            })
-            .collect();
-
-        // handles[w][j] drives worker w's core j.
-        let mut core_handles: Vec<Vec<_>> = Vec::with_capacity(n);
-        for (w, worker_ports) in core_ports.into_iter().enumerate() {
-            let mut per_core = Vec::with_capacity(c);
-            for (j, port) in worker_ports.into_iter().enumerate() {
-                let data = Arc::clone(&flat[w]);
-                // The same partition Worker::sharded applies: slots and
-                // chunks both split j·x/c contiguously, so core j's
-                // slots all live on shard j.
-                let slot_lo = j * s / c;
-                let slot_hi = (j + 1) * s / c;
-                let chunk_lo = (j as u64) * total_chunks / c as u64;
-                let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                let ecfg = EngineConfig {
-                    wid: w as WorkerId,
-                    k,
-                    slot_base: slot_lo as u32,
-                    n_slots: slot_hi - slot_lo,
-                    chunk_base: chunk_lo,
-                    n_chunks: chunk_hi - chunk_lo,
-                    rto: Some(proto.rto_ns),
-                    rto_policy: proto.rto_policy,
-                };
-                let elem_lo = (chunk_lo as usize * k).min(total);
-                let elem_hi = (chunk_hi as usize * k).min(total);
-                let burst = cfg.burst;
-                per_core.push(scope.spawn(move || {
-                    let engine = SlotEngine::new(ecfg)?;
-                    core_loop(
-                        port,
-                        engine,
-                        shard_endpoint(j),
-                        w as WorkerId,
-                        k,
-                        burst,
-                        &data,
-                        f,
-                        elem_lo,
-                        elem_hi,
-                        deadline,
-                        epoch,
-                    )
-                }));
-            }
-            core_handles.push(per_core);
-        }
-
-        let mut results = Vec::with_capacity(n);
-        let mut worker_stats = Vec::with_capacity(n);
-        let mut transport_stats = PortStats::default();
-        let mut first_err = None;
-        for per_core in core_handles {
-            let mut flat_result = vec![0.0f32; total];
-            let mut stats = EngineStats::default();
-            let mut elem_base = 0usize;
-            for (j, h) in per_core.into_iter().enumerate() {
-                let chunk_lo = (j as u64) * total_chunks / c as u64;
-                let chunk_hi = (j as u64 + 1) * total_chunks / c as u64;
-                let lo = (chunk_lo as usize * k).min(total);
-                let hi = (chunk_hi as usize * k).min(total);
-                debug_assert_eq!(lo, elem_base);
-                match h.join().expect("worker core thread panicked") {
-                    Ok((local, st, ps)) => {
-                        flat_result[lo..hi].copy_from_slice(&local);
-                        stats.merge(st);
-                        transport_stats.merge(ps);
-                    }
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-                elem_base = hi;
-            }
-            // Split the flattened sum back into the caller's tensors.
-            let mut tensors = Vec::with_capacity(shapes.len());
-            let mut off = 0usize;
-            for &len in &shapes {
-                tensors.push(flat_result[off..off + len].to_vec());
-                off += len;
-            }
-            results.push(tensors);
-            worker_stats.push(stats);
-        }
-        stop.store(true, Ordering::Release);
-        let mut switch_stats = SwitchStats::default();
-        for h in shard_handles {
-            let (st, ps) = h.join().expect("switch shard thread panicked")?;
-            switch_stats.merge(st);
-            transport_stats.merge(ps);
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(RunReport {
-            results,
-            worker_stats,
-            switch_stats,
-            transport_stats,
-            reactor: None,
-            hier: None,
-            wall: t0.elapsed(),
-        })
-    })
-}
-
 /// Convenience: an in-memory fabric sized for a sharded run.
 pub fn sharded_channel_fabric(
     n_workers: usize,
     n_cores: usize,
 ) -> Vec<crate::channel::ChannelPort> {
     crate::channel::channel_fabric(sharded_fabric_size(n_workers, n_cores))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lossy::lossy_fabric;
-    use crate::runner::run_allreduce;
-    use crate::udp::udp_fabric;
-
-    fn proto(n: usize) -> Protocol {
-        Protocol {
-            n_workers: n,
-            k: 8,
-            pool_size: 16,
-            rto_ns: 2_000_000, // 2 ms real time
-            scaling_factor: 10_000.0,
-            ..Protocol::default()
-        }
-    }
-
-    fn updates(n: usize, elems: usize) -> Vec<Vec<Vec<f32>>> {
-        (0..n)
-            .map(|w| {
-                vec![(0..elems)
-                    .map(|i| (w + 1) as f32 + (i % 5) as f32 * 0.1)
-                    .collect()]
-            })
-            .collect()
-    }
-
-    fn check(report: &RunReport, n: usize, elems: usize) {
-        let want: Vec<f32> = (0..elems)
-            .map(|i| (1..=n).map(|w| w as f32).sum::<f32>() + n as f32 * (i % 5) as f32 * 0.1)
-            .collect();
-        for r in &report.results {
-            assert_eq!(r.len(), 1);
-            for (a, b) in r[0].iter().zip(&want) {
-                assert!((a - b).abs() < 0.01, "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_allreduce_2_workers_4_cores() {
-        let n = 2;
-        let c = 4;
-        let elems = 1000;
-        let ports = sharded_channel_fabric(n, c);
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
-        };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
-        check(&report, n, elems);
-        assert_eq!(report.worker_stats.len(), n);
-        // Every chunk completes exactly once, summed across shards.
-        assert_eq!(report.switch_stats.completions as usize, elems.div_ceil(8));
-    }
-
-    #[test]
-    fn sharded_matches_single_core_runner() {
-        // n_cores = 1 degenerates to the plain runner's topology (one
-        // shard, one thread per worker); results must agree exactly —
-        // quantization is deterministic.
-        let n = 3;
-        let elems = 333; // ragged final chunk
-        let p = proto(n);
-        let cfg = RunConfig {
-            n_cores: 1,
-            ..RunConfig::default()
-        };
-        let sharded =
-            run_allreduce_sharded(sharded_channel_fabric(n, 1), updates(n, elems), &p, &cfg)
-                .unwrap();
-        let plain = run_allreduce(
-            crate::channel::channel_fabric(n + 1),
-            updates(n, elems),
-            &p,
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(sharded.results[0], plain.results[0]);
-        check(&sharded, n, elems);
-    }
-
-    #[test]
-    fn sharded_allreduce_with_loss_recovers() {
-        let n = 2;
-        let c = 2;
-        let elems = 400;
-        let (ports, stats) = lossy_fabric(sharded_channel_fabric(n, c), 0.05, 77);
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
-        };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
-        check(&report, n, elems);
-        assert!(stats.dropped() > 0, "5% loss should drop something");
-        let retx: u64 = report.worker_stats.iter().map(|s| s.retx).sum();
-        assert!(retx > 0, "losses must trigger retransmissions");
-    }
-
-    #[test]
-    fn sharded_udp_smoke() {
-        let n = 2;
-        let c = 2;
-        let elems = 256;
-        let ports = udp_fabric(sharded_fabric_size(n, c)).unwrap();
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
-        };
-        let report = run_allreduce_sharded(ports, updates(n, elems), &proto(n), &cfg).unwrap();
-        check(&report, n, elems);
-    }
-
-    #[test]
-    fn multi_tensor_shapes_roundtrip() {
-        let n = 2;
-        let c = 2;
-        // Two tensors of different sizes; the flatten/split must be
-        // invisible to the caller.
-        let updates: Vec<Vec<Vec<f32>>> = (0..n)
-            .map(|w| {
-                vec![
-                    vec![(w + 1) as f32; 37],
-                    (0..100).map(|i| (w as f32) + i as f32 * 0.01).collect(),
-                ]
-            })
-            .collect();
-        let cfg = RunConfig {
-            n_cores: c,
-            ..RunConfig::default()
-        };
-        let report =
-            run_allreduce_sharded(sharded_channel_fabric(n, c), updates, &proto(n), &cfg).unwrap();
-        for r in &report.results {
-            assert_eq!(r.len(), 2);
-            assert_eq!(r[0].len(), 37);
-            assert_eq!(r[1].len(), 100);
-            for &x in &r[0] {
-                assert!((x - 3.0).abs() < 0.01); // 1 + 2
-            }
-            for (i, &x) in r[1].iter().enumerate() {
-                let want = 1.0 + 2.0 * i as f32 * 0.01;
-                assert!((x - want).abs() < 0.01, "elem {i}: {x} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn misconfiguration_rejected() {
-        let n = 2;
-        let cfg = RunConfig {
-            n_cores: 2,
-            ..RunConfig::default()
-        };
-        // Wrong port count.
-        assert!(run_allreduce_sharded(
-            sharded_channel_fabric(n, 1),
-            updates(n, 16),
-            &proto(n),
-            &cfg
-        )
-        .is_err());
-        // Non-Fixed32 mode.
-        let p16 = Protocol {
-            mode: NumericMode::Float16,
-            ..proto(n)
-        };
-        assert!(
-            run_allreduce_sharded(sharded_channel_fabric(n, 2), updates(n, 16), &p16, &cfg)
-                .is_err()
-        );
-        // More cores than pool slots.
-        let big = RunConfig {
-            n_cores: 32,
-            ..RunConfig::default()
-        };
-        assert!(run_allreduce_sharded(
-            sharded_channel_fabric(n, 32),
-            updates(n, 16),
-            &proto(n),
-            &big
-        )
-        .is_err());
-        // Mismatched tensor shapes across workers.
-        let bad = vec![vec![vec![1.0f32; 8]], vec![vec![1.0f32; 9]]];
-        assert!(run_allreduce_sharded(sharded_channel_fabric(n, 2), bad, &proto(n), &cfg).is_err());
-    }
 }

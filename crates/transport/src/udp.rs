@@ -228,10 +228,49 @@ impl UdpPort {
         if self.gro.is_some() {
             return self.recv_one_gro(timeout);
         }
-        self.arm_timeout(timeout).ok()?;
-        let (len, addr) = self.socket.recv_from(self.buf.as_mut_slice()).ok()?;
+        // A zero timeout is a pure poll: `arm_timeout` would round it
+        // up to a blocking granule-long wait.
+        let (len, addr) = if timeout.is_zero() {
+            self.recv_from_nonblocking()?
+        } else {
+            self.arm_timeout(timeout).ok()?;
+            self.socket.recv_from(self.buf.as_mut_slice()).ok()?
+        };
         let from = self.lookup(&addr)?;
         Some((from, len))
+    }
+
+    /// One datagram into `self.buf` if one is already queued, without
+    /// touching the armed read timeout.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn recv_from_nonblocking(&mut self) -> Option<(usize, SocketAddr)> {
+        use mmsg::*;
+        use std::os::fd::AsRawFd;
+        let mut sa = sockaddr_in::default();
+        let mut iov = iovec {
+            iov_base: self.buf.as_mut_ptr() as *mut core::ffi::c_void,
+            iov_len: self.buf.len(),
+        };
+        let mut msg: msghdr = unsafe { std::mem::zeroed() };
+        msg.msg_name = &mut sa as *mut sockaddr_in as *mut core::ffi::c_void;
+        msg.msg_namelen = std::mem::size_of::<sockaddr_in>() as u32;
+        msg.msg_iov = &mut iov;
+        msg.msg_iovlen = 1;
+        // SAFETY: every msg pointer targets live storage of the stated
+        // length; the kernel writes within those bounds.
+        let r = unsafe { recvmsg(self.socket.as_raw_fd(), &mut msg, MSG_DONTWAIT) };
+        if r < 0 {
+            return None;
+        }
+        Some(((r as usize).min(MAX_DATAGRAM), addr_of(&sa)?))
+    }
+
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    fn recv_from_nonblocking(&mut self) -> Option<(usize, SocketAddr)> {
+        self.socket.set_nonblocking(true).ok()?;
+        let got = self.socket.recv_from(self.buf.as_mut_slice());
+        self.socket.set_nonblocking(false).ok()?;
+        got.ok()
     }
 }
 
@@ -653,8 +692,15 @@ impl UdpPort {
                     g.off = g.len; // filtered train
                 }
             }
-            self.arm_timeout(timeout).ok()?;
-            if !self.fill_stage(0) {
+            // A zero timeout polls; anything else blocks on the
+            // cached armed timeout.
+            let flags = if timeout.is_zero() {
+                mmsg::MSG_DONTWAIT
+            } else {
+                self.arm_timeout(timeout).ok()?;
+                0
+            };
+            if !self.fill_stage(flags) {
                 return None;
             }
         }
@@ -839,6 +885,7 @@ mod mmsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faulty::{faulty_fabric, FaultyConfig};
 
     #[test]
     fn loopback_roundtrip() {
@@ -892,6 +939,46 @@ mod tests {
             assert!(!bufs.is_empty(), "expected both fabric datagrams");
         }
         assert_eq!(seen, vec![b"one".to_vec(), b"two".to_vec()]);
+    }
+
+    /// Issue 1 000 zero-timeout receives on an empty socket; each must
+    /// return at once instead of sleeping for the timeout granule.
+    fn poll_empty<P: Port>(port: &mut P) {
+        const CALLS: u32 = 1_000;
+        let mut buf = Vec::new();
+        let t0 = std::time::Instant::now();
+        for _ in 0..CALLS {
+            assert!(port.recv_into(&mut buf, Duration::ZERO).is_none());
+        }
+        // Rounding each poll up to the granule would take CALLS × 100 µs.
+        let wall = t0.elapsed();
+        assert!(
+            wall < TIMEOUT_GRANULE * CALLS / 4,
+            "{CALLS} polls took {wall:?}"
+        );
+    }
+
+    /// A zero-timeout receive is a pure poll on every path — the
+    /// classic socket, the GRO stage, and the loss-only fault wrapper
+    /// (whose burst receive is the trait default over `recv_into`) —
+    /// and never arms the kernel read timeout.
+    #[test]
+    fn udp_zero_timeout_recv_never_blocks() {
+        let mut plain = udp_fabric(1).unwrap().pop().unwrap();
+        poll_empty(&mut plain);
+        assert_eq!(plain.timeout_rearms(), 0);
+
+        let mut gro = udp_fabric(1).unwrap().pop().unwrap();
+        let mut bufs = BurstBuf::new(GRO_MIN_BURST, 64);
+        assert_eq!(gro.recv_batch(&mut bufs, Duration::ZERO), 0);
+        poll_empty(&mut gro);
+        assert_eq!(gro.timeout_rearms(), 0);
+
+        let fabric = udp_fabric(1).unwrap();
+        let (mut ports, _) = faulty_fabric(fabric, FaultyConfig::loss_only(0.01), 1);
+        let mut faulty = ports.pop().unwrap();
+        poll_empty(&mut faulty);
+        assert_eq!(faulty.inner().timeout_rearms(), 0);
     }
 
     #[test]

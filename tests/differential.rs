@@ -1,5 +1,5 @@
 //! Differential testing: three independent executions of the same
-//! all-reduce — the multi-core threaded sharded runner, the
+//! all-reduce — the multi-core reactor with one thread per engine, the
 //! discrete-event netsim run, and a sequential quantize → saturating
 //! sum → dequantize reference built straight from `switchml-core` —
 //! must agree **bit-for-bit** on the Fixed32 aggregated tensor.
@@ -14,10 +14,9 @@ use switchml_baselines::run::{run_switchml, synthetic_gradient, SwitchMLScenario
 use switchml_core::config::NumericMode;
 use switchml_core::packet::Payload;
 use switchml_core::worker::stream::TensorStream;
+use switchml_transport::reactor::run_allreduce_reactor;
 use switchml_transport::runner::RunConfig;
-use switchml_transport::shard::{
-    run_allreduce_sharded, sharded_channel_fabric, sharded_fabric_size,
-};
+use switchml_transport::shard::{sharded_channel_fabric, sharded_fabric_size};
 use switchml_transport::udp::udp_fabric;
 
 const SCALING: f64 = 10_000.0;
@@ -75,7 +74,7 @@ fn differential(n: usize, k: usize, pool_size: usize, elems: usize, cores: usize
     let label = format!("n={n} k={k} s={pool_size} elems={elems} cores={cores}");
     let reference = sequential_reference(n, elems, k);
 
-    // Path 1: multi-core sharded threaded runner.
+    // Path 1: multi-core reactor, one thread per engine.
     let mut sc = SwitchMLScenario::new(n, elems);
     sc.proto.k = k;
     sc.proto.pool_size = pool_size;
@@ -87,11 +86,17 @@ fn differential(n: usize, k: usize, pool_size: usize, elems: usize, cores: usize
         n_cores: cores,
         ..RunConfig::default()
     };
-    let report =
-        run_allreduce_sharded(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
+    let report = run_allreduce_reactor(
+        sharded_channel_fabric(n, cores),
+        updates,
+        &sc.proto,
+        &cfg,
+        n * cores,
+    )
+    .unwrap();
     for (w, tensors) in report.results.iter().enumerate() {
         assert_bit_identical(
-            &format!("{label}: sharded worker {w}"),
+            &format!("{label}: reactor worker {w}"),
             &tensors[0],
             &reference,
         );
@@ -112,7 +117,7 @@ fn differential(n: usize, k: usize, pool_size: usize, elems: usize, cores: usize
 }
 
 /// One (n, k, pool_size, elems, cores, burst) configuration run over
-/// real UDP sockets *and* the in-memory channel fabric: both sharded
+/// real UDP sockets *and* the in-memory channel fabric: both per-core
 /// runs and the sequential reference must agree bit-for-bit. This
 /// pins down the whole batched UDP data plane — GSO train grouping,
 /// GRO segmentation, burst receive, and sender resolution — as unable
@@ -139,15 +144,22 @@ fn udp_differential(
         burst,
         ..RunConfig::default()
     };
-    let udp = run_allreduce_sharded(
+    let udp = run_allreduce_reactor(
         udp_fabric(sharded_fabric_size(n, cores)).unwrap(),
         updates.clone(),
         &sc.proto,
         &cfg,
+        n * cores,
     )
     .unwrap();
-    let chan =
-        run_allreduce_sharded(sharded_channel_fabric(n, cores), updates, &sc.proto, &cfg).unwrap();
+    let chan = run_allreduce_reactor(
+        sharded_channel_fabric(n, cores),
+        updates,
+        &sc.proto,
+        &cfg,
+        n * cores,
+    )
+    .unwrap();
     for w in 0..n {
         assert_bit_identical(
             &format!("{label}: udp worker {w} vs reference"),
@@ -217,11 +229,12 @@ fn single_core_matches_multi_core() {
             n_cores: cores,
             ..RunConfig::default()
         };
-        let report = run_allreduce_sharded(
+        let report = run_allreduce_reactor(
             sharded_channel_fabric(n, cores),
             updates.clone(),
             &sc.proto,
             &cfg,
+            n * cores,
         )
         .unwrap();
         runs.push(report.results[0][0].clone());

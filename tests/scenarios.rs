@@ -58,7 +58,7 @@ fn scenario_suite_netsim() {
     run_subset(Transport::Netsim, |_| true);
 }
 
-/// Channel-transport data-plane scenarios (plain/sharded/reactor).
+/// Channel-transport data-plane scenarios (plain/reactor).
 #[test]
 fn scenario_suite_channel_data_plane() {
     run_subset(Transport::Channel, |sc| !is_control_plane(sc));
