@@ -48,11 +48,12 @@ echo "== udp burst data plane: tests + quick bench (release, hard time budget)"
 # Every test whose name mentions udp — transport unit tests plus the
 # per-core UDP-vs-channel-vs-reference differentials.
 timeout 180 cargo test --workspace -q udp
-# The burst receive bench must complete and write a well-formed
-# BENCH_udp.json (both sections present, allocation counter included).
+# The burst receive and multicast send benches must complete and write
+# a well-formed BENCH_udp.json (all sections present, allocation
+# counters included; both paths assert zero allocations themselves).
 timeout 300 cargo run --release -q -p switchml-bench --bin hotpath -- \
     --quick --udp --udp-out /tmp/ci_bench_udp.json
-for key in '"bench": "udp"' '"recv_path"' '"allreduce"' '"allocs_per_packet"'; do
+for key in '"bench": "udp"' '"recv_path"' '"send_path"' '"allreduce"' '"allocs_per_packet"'; do
   if ! grep -qF "$key" /tmp/ci_bench_udp.json; then
     echo "ERROR: BENCH_udp.json missing $key" >&2
     exit 1

@@ -23,7 +23,9 @@
 //!
 //! * **udp burst I/O** — the batched UDP data plane: packets/sec
 //!   through `recv_batch` at burst sizes 1/8/32 (drain of a prefilled
-//!   loopback socket, allocation-checked), and end-to-end per-core
+//!   loopback socket, allocation-checked), `send_batch` of a switch's
+//!   interleaved multicast (8 destinations × 32 frames per batch,
+//!   allocation-checked), and end-to-end per-core
 //!   all-reduce ATE/s over UDP vs the channel fabric at each
 //!   (burst, cores) point. Written to `BENCH_udp.json` (override with
 //!   `--udp-out`); `--udp` runs *only* this section.
@@ -479,6 +481,79 @@ fn udp_recv_section(rounds: u64, bursts: &[usize]) -> serde_json::Value {
     serde_json::Value::Array(rows)
 }
 
+/// Kernel send path for a switch's multicast: each batch interleaves
+/// 8 destinations × 32 frames (`w1..w8` repeated, 256 frames: more
+/// than `MAX_WIRE_BURST`), the shape a switch loop flushes
+/// when a burst completes 32 slots. Times `send_batch` per packet and
+/// verifies it makes **zero** heap allocations in steady state; the
+/// receivers are drained untimed between rounds.
+fn udp_send_section(rounds: u64) -> serde_json::Value {
+    const DESTS: usize = 8;
+    const PER_DEST: usize = 32;
+    let vals = [7i32; K];
+    let mut wire = Vec::new();
+    encode_update_into(0, PoolVersion::V0, 3, 96, 0, false, &vals, &mut wire);
+    let mut ports = udp_fabric(1 + DESTS).expect("loopback fabric");
+    let mut rxs = ports.split_off(1);
+    let mut tx = ports.pop().unwrap(); // endpoint 0, the "switch"
+    let mut txb = TxBatch::new(wire.len());
+    let mut bufs = BurstBuf::new(PER_DEST, wire.len());
+    let (mut send_allocs, mut sent) = (0u64, 0u64);
+    let mut round_ns: Vec<f64> = Vec::with_capacity(rounds as usize);
+    // One untimed warmup round grows the port's send-plan scratch and
+    // every reused buffer to steady-state capacity.
+    for round in 0..rounds + 1 {
+        txb.clear();
+        for _ in 0..PER_DEST {
+            for d in 1..=DESTS {
+                txb.push(d).extend_from_slice(&wire);
+            }
+        }
+        let a0 = allocations();
+        let t0 = Instant::now();
+        txb.flush(&mut tx);
+        let ns = t0.elapsed().as_nanos() as f64;
+        if round > 0 {
+            send_allocs += allocations() - a0;
+            sent += (DESTS * PER_DEST) as u64;
+            round_ns.push(ns / (DESTS * PER_DEST) as f64);
+        }
+        for rx in &mut rxs {
+            let mut seen = 0;
+            while seen < PER_DEST {
+                let n = rx.recv_batch(&mut bufs, Duration::from_millis(200));
+                if n == 0 {
+                    break; // kernel dropped part of the flight
+                }
+                seen += n;
+            }
+        }
+    }
+    // Same p10 headline as the receive rows (shared-vCPU preemption).
+    round_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let mean_ns = round_ns.iter().sum::<f64>() / round_ns.len() as f64;
+    let p10_ns = round_ns[round_ns.len() / 10];
+    let allocs_per_packet = send_allocs as f64 / sent as f64;
+    let send_errors = tx.stats().send_errors;
+    println!(
+        "udp send {DESTS}x{PER_DEST} interleaved: p10 {p10_ns:.1} ns/pkt, mean {mean_ns:.1} \
+         ns/pkt, {send_allocs} allocations over {sent} packets, {send_errors} send errors"
+    );
+    assert_eq!(
+        send_allocs, 0,
+        "udp multicast send_batch path must not allocate"
+    );
+    serde_json::json!([{
+        "dests": DESTS,
+        "frames_per_batch": DESTS * PER_DEST,
+        "packets": sent,
+        "ns_per_packet": p10_ns,
+        "ns_per_packet_mean": mean_ns,
+        "send_errors": send_errors,
+        "allocs_per_packet": allocs_per_packet,
+    }])
+}
+
 /// Full per-core all-reduce over UDP loopback vs the channel fabric at
 /// each (burst, cores) point — end-to-end ATE/s for the same protocol
 /// over real sockets, plus kernel send-error counts from the port
@@ -814,15 +889,18 @@ fn main() {
         (2_000, 200_000, &[1, 2], &[1, 8, 32])
     };
     let recv = udp_recv_section(recv_rounds, udp_bursts);
+    let send = udp_send_section(recv_rounds);
     let allreduce = udp_allreduce_section(udp_elems, udp_cores, udp_bursts);
     let udp_doc = serde_json::json!({
         "bench": "udp",
         "quick": quick || smoke,
         "hardware_threads": hw,
         "recv_path": recv,
+        "send_path": send,
         "allreduce": allreduce,
         "note": "recv_path times only the recv_batch drain of a prefilled socket, so it \
-                 isolates per-packet syscall cost; allreduce is end-to-end wall clock and \
+                 isolates per-packet syscall cost; send_path times only the send_batch of \
+                 one interleaved multicast batch; allreduce is end-to-end wall clock and \
                  inherits the hardware-thread caveat from BENCH_hotpath.json.",
     });
     std::fs::write(

@@ -11,7 +11,7 @@
 //! holding is the model checker's job (`switchml-check`), not the
 //! threaded fabric's.
 
-use crate::port::Port;
+use crate::port::{Port, TxBatch};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -150,6 +150,8 @@ pub struct FaultyPort<P: Port> {
     /// fabric, so surfacing it per port would multiply-count faults
     /// when a runner merges every port's `PortStats`.
     local: Counters,
+    /// `preserve_batches` survivors, staged in reused storage.
+    kept: TxBatch,
 }
 
 impl<P: Port> FaultyPort<P> {
@@ -162,6 +164,7 @@ impl<P: Port> FaultyPort<P> {
             held: Vec::new(),
             stats,
             local: Counters::default(),
+            kept: TxBatch::new(0),
         }
     }
 
@@ -284,16 +287,21 @@ impl<P: Port> Port for FaultyPort<P> {
             return;
         }
         // One roll per frame (same RNG discipline as per-frame sends),
-        // then the survivors in a single inner batch.
+        // then the survivors in a single inner batch. A batch with no
+        // drop passes through as is; survivors of one with drops are
+        // staged in the port's reused `kept` batch.
         let mut drops = 0u64;
-        let mut kept_dests: Vec<usize> = Vec::with_capacity(dests.len());
-        let mut kept_frames: Vec<Vec<u8>> = Vec::with_capacity(frames.len());
-        for (&to, frame) in dests.iter().zip(frames) {
+        self.kept.clear();
+        for (i, (&to, frame)) in dests.iter().zip(frames).enumerate() {
             if self.roll(self.cfg.send_drop) {
+                if drops == 0 {
+                    for (&d, f) in dests[..i].iter().zip(&frames[..i]) {
+                        self.kept.push(d).extend_from_slice(f);
+                    }
+                }
                 drops += 1;
-            } else {
-                kept_dests.push(to);
-                kept_frames.push(frame.clone());
+            } else if drops > 0 {
+                self.kept.push(to).extend_from_slice(frame);
             }
         }
         {
@@ -305,8 +313,8 @@ impl<P: Port> Port for FaultyPort<P> {
         self.local.dropped += drops;
         if drops == 0 {
             self.inner.send_batch(dests, frames);
-        } else if !kept_dests.is_empty() {
-            self.inner.send_batch(&kept_dests, &kept_frames);
+        } else {
+            self.kept.flush(&mut self.inner);
         }
     }
 
@@ -398,6 +406,35 @@ mod tests {
             seen
         };
         assert_eq!(run(77), run(77), "schedule must be seed-deterministic");
+    }
+
+    /// Batch-preserving loss rolls once per frame, in order, exactly as
+    /// per-frame loss does: the same seed drops the same frames.
+    #[test]
+    fn batch_loss_drops_the_same_frames_as_per_frame_loss() {
+        use crate::port::{BurstBuf, TxBatch};
+        let survivors = |cfg: FaultyConfig| {
+            let (mut ports, _) = faulty_fabric(channel_fabric(2), cfg, 5);
+            let mut rx = ports.pop().unwrap();
+            let mut tx = ports.pop().unwrap();
+            let mut batch = TxBatch::new(4);
+            for i in 0..400u16 {
+                batch.push(1).extend_from_slice(&i.to_be_bytes());
+                if batch.len() == 16 {
+                    batch.flush(&mut tx);
+                }
+            }
+            batch.flush(&mut tx);
+            let mut bufs = BurstBuf::new(16, 4);
+            let mut seen = Vec::new();
+            while rx.recv_batch(&mut bufs, Duration::from_millis(5)) > 0 {
+                seen.extend(bufs.iter().map(|(_, f)| u16::from_be_bytes([f[0], f[1]])));
+            }
+            seen
+        };
+        let batched = survivors(FaultyConfig::batch_loss_only(0.1));
+        assert!(batched.len() < 400, "10% loss should drop something");
+        assert_eq!(batched, survivors(FaultyConfig::loss_only(0.1)));
     }
 
     /// Send-side loss drops at its configured rate, and every send is

@@ -161,6 +161,12 @@ pub struct HierReport {
     pub rack_epochs: Vec<u8>,
     /// Total scripted leaf reboots executed.
     pub leaf_reboots: u64,
+    /// Wire input each leaf counted and dropped as malformed, whichever
+    /// check caught it: an update with a bad worker, slot or `k`, or
+    /// ahead of the up-hop engine; a result the up-hop engine refused;
+    /// or anything the rack switch rejected (also in that switch's
+    /// `rejected` stat). A leaf never stops on wire input.
+    pub leaf_rejected: Vec<u64>,
 }
 
 /// Cross-thread rendezvous between one leaf and its rack's workers.
@@ -273,6 +279,7 @@ struct LeafOutcome {
     port_stats: PortStats,
     epoch: u8,
     reboots: u64,
+    rejected: u64,
 }
 
 /// One leaf switch: rack-local aggregation below, worker protocol
@@ -333,6 +340,8 @@ fn leaf_loop<P: Port>(
     let mut rack_epoch: u8 = 0;
     let mut reboots = 0u64;
     let mut killed = false;
+    // Malformed wire input is counted and dropped, never fatal.
+    let mut rejected = 0u64;
 
     let mut rxb = BurstBuf::new(burst, SCRATCH_CAPACITY);
     let mut txb = TxBatch::new(SCRATCH_CAPACITY);
@@ -418,21 +427,22 @@ fn leaf_loop<P: Port>(
                             // fence counts and absorbs it. The oracle
                             // models the post-fence switch and must
                             // not see these.
-                            let act = switch.on_view(&view, &mut tx)?;
-                            debug_assert!(matches!(act, WireAction::Drop));
+                            let act = switch.on_view(&view, &mut tx);
+                            debug_assert!(matches!(act, Ok(WireAction::Drop)));
                             continue;
                         }
                         if wid as usize >= wpr || (idx as usize) >= n_slots || view.k() != k {
-                            return Err(Error::ProtocolViolation(format!(
-                                "rack {rack}: malformed update (wid {wid} slot {idx} k {})",
-                                view.k()
-                            )));
+                            rejected += 1;
+                            continue;
                         }
                         let ss = engine.slot_state(idx).expect("slot validated above");
                         let cur_off = ss.chunk * k as u64;
                         if ss.active && ver == ss.ver && off == cur_off {
                             // Current phase → rack-local aggregation.
-                            let action = switch.on_view(&view, &mut tx)?;
+                            let Ok(action) = switch.on_view(&view, &mut tx) else {
+                                rejected += 1;
+                                continue;
+                            };
                             #[cfg(debug_assertions)]
                             if let Err(v) = oracle.observe_update(
                                 wid,
@@ -511,10 +521,10 @@ fn leaf_loop<P: Port>(
                                 WireAction::Drop => {}
                             }
                         } else if ss.active && off >= cur_off {
-                            return Err(Error::ProtocolViolation(format!(
-                                "rack {rack}: worker {wid} is ahead of the up-hop engine \
-                                 (slot {idx} off {off}, engine at off {cur_off})"
-                            )));
+                            // No genuine worker runs ahead of the up
+                            // hop: self-clocking keeps it in the
+                            // engine's phase or one behind.
+                            rejected += 1;
                         } else {
                             // Laggard — self-clocking bounds it to
                             // exactly one phase behind.
@@ -566,7 +576,8 @@ fn leaf_loop<P: Port>(
                     PacketKind::Result => {
                         let (ver, idx, off) = (view.ver(), view.idx(), view.off());
                         if (idx as usize) >= n_slots || view.k() != k {
-                            continue; // foreign datagram
+                            rejected += 1;
+                            continue;
                         }
                         let t = now_ns();
                         let ss = engine.slot_state(idx).expect("slot validated above");
@@ -582,8 +593,9 @@ fn leaf_loop<P: Port>(
                             // its shadow.
                             continue;
                         }
-                        match engine.on_result(idx, ver, off, t)? {
-                            ResultOutcome::Accepted { off, .. } => {
+                        match engine.on_result(idx, ver, off, t) {
+                            Err(_) => rejected += 1,
+                            Ok(ResultOutcome::Accepted { off, .. }) => {
                                 // `next` is deliberately ignored: the
                                 // next up-hop send happens when the
                                 // rack completes that chunk, not here.
@@ -622,7 +634,7 @@ fn leaf_loop<P: Port>(
                                     txb.push(wep(lw)).extend_from_slice(&tx);
                                 }
                             }
-                            ResultOutcome::Stale => {
+                            Ok(ResultOutcome::Stale) => {
                                 // Past phases only reach here as probe
                                 // answers; serve the waiting laggards.
                                 if let Some(waiters) =
@@ -706,6 +718,7 @@ fn leaf_loop<P: Port>(
         port_stats: port.stats(),
         epoch: rack_epoch,
         reboots,
+        rejected: rejected + acc_switch_stats.rejected,
     })
 }
 
@@ -874,6 +887,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
         let mut leaf_up_stats = Vec::with_capacity(racks);
         let mut rack_epochs = Vec::with_capacity(racks);
         let mut leaf_reboots = 0u64;
+        let mut leaf_rejected = Vec::with_capacity(racks);
         for h in leaf_handles {
             let o = h.join().expect("leaf thread panicked")?;
             transport_stats.merge(o.port_stats);
@@ -881,6 +895,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             leaf_up_stats.push(o.up_stats);
             rack_epochs.push(o.epoch);
             leaf_reboots += o.reboots;
+            leaf_rejected.push(o.rejected);
         }
         let engines = engines?;
         transport_stats.merge(engines.port_stats);
@@ -888,7 +903,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
             results: engines
                 .results
                 .into_iter()
-                .map(|r| inputs.split(&r))
+                .map(|r| inputs.split(r))
                 .collect(),
             worker_stats: engines.worker_stats,
             switch_stats: spine_stats,
@@ -901,6 +916,7 @@ pub fn run_allreduce_hier<P: Port + 'static>(
                 leaf_up_stats,
                 rack_epochs,
                 leaf_reboots,
+                leaf_rejected,
             }),
             wall: t0.elapsed(),
         })
@@ -980,6 +996,57 @@ mod tests {
             ss.updates - ss.duplicates,
             racks as u64 * hier.results[0][0].len().div_ceil(8) as u64
         );
+    }
+
+    /// Wire input the leaf cannot use is counted and dropped, never
+    /// fatal: stray updates (worker, slot or `k` out of range, or
+    /// ahead of the up-hop engine) and a stray result, all queued at
+    /// rack 0's leaf before the run starts. The run still completes
+    /// bit-identical, and rack 1 saw nothing.
+    #[test]
+    fn hier_leaf_counts_and_drops_stray_input() {
+        let (racks, wpr) = (2, 4);
+        let n = racks * wpr;
+        let elems = 333;
+        let p = proto(n);
+        let mut ports = hier_channel(racks, wpr);
+        let mut strays = Vec::new();
+        let mut push_update = |wid: WorkerId, idx: SlotIndex, off: ElemOffset, k: usize| {
+            let mut frame = Vec::new();
+            let vals = vec![1; k];
+            encode_update_into(wid, PoolVersion::V0, idx, off, 0, false, &vals, &mut frame);
+            strays.push(frame);
+        };
+        push_update(wpr as WorkerId, 0, 0, 8); // worker outside the rack
+        push_update(0, 99, 0, 8); // slot outside the pool
+        push_update(0, 0, 0, 4); // wrong k
+        push_update(1, 0, 8 * 16 * 4, 8); // ahead of the up-hop engine
+        let mut result = Vec::new();
+        let meta = ResultMeta {
+            wid: 0,
+            ver: PoolVersion::V0,
+            idx: 99,
+            off: 0,
+            job: 0,
+            epoch: 0,
+            retransmission: false,
+            f16: false,
+        };
+        encode_result_into(meta, &[1; 8], &mut result);
+        strays.push(result);
+        let w0 = hier_worker_endpoint(racks, wpr, 0, 0);
+        for frame in &strays {
+            ports[w0].send(leaf_endpoint(0), frame);
+        }
+        let cfg = RunConfig::default();
+        let hc = HierConfig::new(racks, wpr);
+        let report = run_allreduce_hier(ports, updates(n, elems), &p, &cfg, &hc).unwrap();
+        let reference = allreduce(&updates(n, elems), &p).unwrap();
+        for w in 0..n {
+            assert_eq!(report.results[w], reference, "worker {w}");
+        }
+        let hr = report.hier.unwrap();
+        assert_eq!(hr.leaf_rejected, vec![strays.len() as u64, 0]);
     }
 
     /// Same differential at 4 racks × 8 workers.

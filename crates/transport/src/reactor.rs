@@ -144,9 +144,13 @@ impl FlatInputs {
                 )));
             }
         }
+        // One tensor is already flat: move it instead of copying.
         let flat = updates
             .into_iter()
-            .map(|tensors| Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()))
+            .map(|mut tensors| match tensors.len() {
+                1 => Arc::new(tensors.pop().expect("one tensor")),
+                _ => Arc::new(tensors.into_iter().flatten().collect::<Vec<f32>>()),
+            })
             .collect();
         let total = shapes.iter().sum();
         Ok(FlatInputs {
@@ -156,8 +160,12 @@ impl FlatInputs {
         })
     }
 
-    /// Split a flattened result back into the caller's tensor shapes.
-    pub(crate) fn split(&self, flat_result: &[f32]) -> Vec<Vec<f32>> {
+    /// Split a flattened result back into the caller's tensor shapes;
+    /// a single tensor is the flat result itself.
+    pub(crate) fn split(&self, flat_result: Vec<f32>) -> Vec<Vec<f32>> {
+        if self.shapes.len() == 1 {
+            return vec![flat_result];
+        }
         let mut off = 0usize;
         self.shapes
             .iter()
@@ -649,7 +657,7 @@ pub fn run_allreduce_reactor<P: Port + 'static>(
             results: engines
                 .results
                 .into_iter()
-                .map(|r| inputs.split(&r))
+                .map(|r| inputs.split(r))
                 .collect(),
             worker_stats: engines.worker_stats,
             switch_stats,

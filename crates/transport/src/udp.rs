@@ -20,14 +20,15 @@
 //!   amortizing syscall entry and the per-call `recvmmsg` setup;
 //! * **UDP GSO/GRO** — on virtualized hosts syscall entry is cheap and
 //!   the dominant cost is the per-datagram traversal of the network
-//!   stack itself. A run of equal-size frames to one destination is
-//!   handed to the kernel as a *single* `UDP_SEGMENT` super-datagram
-//!   (one skb through the stack, split at delivery), and a receiver
-//!   whose burst capacity is at least [`GRO_MIN_BURST`] opts into
-//!   `UDP_GRO`, so a whole train arrives in one `recvmsg` and is split
-//!   in userspace. Either side degrades independently: a GSO train
-//!   sent to a non-GRO socket is segmented by the kernel at delivery,
-//!   and a GRO socket receives plain datagrams as trains of one.
+//!   stack itself. `send_batch` groups a whole batch by destination,
+//!   so each destination's equal-size frames (a multicast `w0,w1,…`
+//!   repeated included) become *one* `UDP_SEGMENT` super-datagram (one
+//!   skb through the stack, split at delivery), and a receiver whose
+//!   burst capacity is at least [`GRO_MIN_BURST`] opts into `UDP_GRO`,
+//!   so a whole train arrives in one `recvmsg` and is split in
+//!   userspace. Either side degrades independently: a GSO train sent
+//!   to a non-GRO socket is segmented by the kernel at delivery, and a
+//!   GRO socket receives plain datagrams as trains of one.
 //!
 //! Three further per-packet costs are engineered away:
 //!
@@ -53,9 +54,12 @@ use switchml_core::packet::{HEADER_LEN, MAX_K};
 /// Largest datagram we expect (max-`k` packet + headroom).
 const MAX_DATAGRAM: usize = HEADER_LEN + 4 * MAX_K + 36;
 
-/// Most frames one `sendmmsg`/`recvmmsg` call moves; larger bursts
+/// Most messages one `sendmmsg`/`recvmmsg` call moves; larger bursts
 /// are split. Bounds the per-call stack arrays.
 pub const MAX_WIRE_BURST: usize = 64;
+
+/// Most frames (GSO segments) one `sendmmsg` call carries.
+const MAX_WIRE_IOVS: usize = 8 * MAX_WIRE_BURST;
 
 /// Non-blocking polls attempted while "hot" before arming the blocking
 /// timeout. Loopback delivery is synchronous, so a small budget is
@@ -105,6 +109,9 @@ pub struct UdpPort {
     /// `UDP_SEGMENT` sends are attempted until the kernel rejects one.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     gso_ok: bool,
+    /// Send-path scratch, reused by every batch.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    tx_plan: TxPlan,
     /// Staging for `UDP_GRO` trains; allocated on first opt-in.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     gro: Option<Box<GroStage>>,
@@ -176,6 +183,8 @@ pub fn udp_fabric(n: usize) -> io::Result<Vec<UdpPort>> {
                 last_sender: None,
                 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
                 gso_ok: true,
+                #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+                tx_plan: TxPlan::default(),
                 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
                 gro: None,
                 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -307,15 +316,76 @@ impl Port for UdpPort {
         Some(from)
     }
 
+    /// The whole batch is grouped by destination into `UDP_SEGMENT`
+    /// trains (`TxPlan::plan`), up to [`MAX_WIRE_BURST`] per
+    /// `sendmmsg`. Grouping reorders frames *across* destinations,
+    /// which UDP permits and the protocol tolerates.
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
     fn send_batch(&mut self, dests: &[usize], frames: &[Vec<u8>]) {
+        use mmsg::*;
+        use std::os::fd::AsRawFd;
         debug_assert_eq!(dests.len(), frames.len());
-        let mut off = 0;
-        while off < dests.len() {
-            let end = (off + MAX_WIRE_BURST).min(dests.len());
-            self.send_chunk(dests, frames, off, end);
-            off = end;
+        let mut plan = std::mem::take(&mut self.tx_plan);
+        plan.plan(dests, |i| frames[i].len(), self.gso_ok);
+        let (trains, frame) = (&plan.trains, |at: usize| plan.order[at] as u32 as usize);
+        let (fd, mut t) = (self.socket.as_raw_fd(), 0);
+        while t < trains.len() {
+            // SAFETY: all-zero bytes (null pointers, zero lengths) are a
+            // valid value of each of these plain C structs.
+            let mut iovs: [iovec; MAX_WIRE_IOVS] = unsafe { std::mem::zeroed() };
+            let mut hdrs: [mmsghdr; MAX_WIRE_BURST] = unsafe { std::mem::zeroed() };
+            let mut ctls: [cmsg_seg; MAX_WIRE_BURST] = unsafe { std::mem::zeroed() };
+            let (mut m, mut iov_at) = (0, 0);
+            while let Some(&(dest, first, count)) = trains.get(t + m) {
+                if m == MAX_WIRE_BURST || iov_at + count > MAX_WIRE_IOVS {
+                    break;
+                }
+                for j in 0..count {
+                    // Element borrows keep the stored `msg_iov` pointers valid.
+                    let (f, iov) = (&frames[frame(first + j)], &mut iovs[iov_at + j]);
+                    (iov.iov_base, iov.iov_len) = (f.as_ptr() as *mut core::ffi::c_void, f.len());
+                }
+                let h = &mut hdrs[m].msg_hdr;
+                h.msg_name = &self.peer_sa[dest] as *const sockaddr_in as *mut core::ffi::c_void;
+                h.msg_namelen = std::mem::size_of::<sockaddr_in>() as u32;
+                h.msg_iov = &mut iovs[iov_at];
+                h.msg_iovlen = count;
+                if count >= GSO_MIN_RUN {
+                    ctls[m] = cmsg_seg::new(frames[frame(first)].len() as u16);
+                    h.msg_control = &mut ctls[m] as *mut cmsg_seg as *mut core::ffi::c_void;
+                    h.msg_controllen = std::mem::size_of::<cmsg_seg>();
+                }
+                iov_at += count;
+                m += 1;
+            }
+            let mut sent = 0;
+            while sent < m {
+                // SAFETY: hdrs/iovs/ctls outlive the call; every pointer
+                // targets live storage of at least the stated length.
+                let r = unsafe { sendmmsg(fd, hdrs[sent..].as_mut_ptr(), (m - sent) as u32, 0) };
+                if r > 0 {
+                    sent += r as usize;
+                    continue;
+                }
+                let (_, first, count) = trains[t + sent]; // failed outright
+                if count >= GSO_MIN_RUN {
+                    // A kernel or path without UDP_SEGMENT rejected the
+                    // train: disable GSO for the life of the port and
+                    // resend its frames one by one; nothing is lost.
+                    self.gso_ok = false;
+                    for f in (first..first + count).map(frame) {
+                        self.send(dests[f], &frames[f]);
+                    }
+                } else {
+                    // A plain datagram failed (EMSGSIZE, ENOBUFS): count
+                    // it as lost and move past it.
+                    self.send_errors += 1;
+                }
+                sent += 1;
+            }
+            t += m;
         }
+        self.tx_plan = plan;
     }
 
     #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
@@ -378,121 +448,6 @@ impl Port for UdpPort {
 
 #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 impl UdpPort {
-    /// Send `frames[off..end]` (at most [`MAX_WIRE_BURST`] frames):
-    /// frames are grouped by destination into `UDP_SEGMENT`
-    /// super-datagrams (equal sizes per train, one shorter tail
-    /// allowed), and all resulting messages go to the kernel in one
-    /// `sendmmsg`. A receiver that has not opted into GRO sees
-    /// ordinary individual datagrams — the kernel segments the train
-    /// at delivery.
-    ///
-    /// Grouping reorders frames *across* destinations (a multicast
-    /// burst `w0,w1,w0,w1,…` becomes one train per worker), which UDP
-    /// permits: the fabric makes no ordering promise, and the protocol
-    /// is already correct under arbitrary datagram reordering.
-    fn send_chunk(&mut self, dests: &[usize], frames: &[Vec<u8>], off: usize, end: usize) {
-        use mmsg::*;
-        use std::os::fd::AsRawFd;
-        let n = end - off;
-        debug_assert!(n <= MAX_WIRE_BURST);
-        let mut iovs: [iovec; MAX_WIRE_BURST] = unsafe { std::mem::zeroed() };
-        let mut iov_frame = [0usize; MAX_WIRE_BURST];
-        let mut hdrs: [mmsghdr; MAX_WIRE_BURST] = unsafe { std::mem::zeroed() };
-        let mut ctls: [cmsg_seg; MAX_WIRE_BURST] = unsafe { std::mem::zeroed() };
-        // (first iov index, segment count) per message.
-        let mut spans = [(0usize, 0usize); MAX_WIRE_BURST];
-        let mut taken = 0u64; // frames already assigned to a message
-        let mut iov_at = 0;
-        let mut m = 0;
-        for i in off..end {
-            if taken & (1 << (i - off)) != 0 {
-                continue;
-            }
-            let dest = dests[i];
-            let seg = frames[i].len();
-            let start = iov_at;
-            let mut count = 0;
-            let mut bytes = 0;
-            for j in i..end {
-                if taken & (1 << (j - off)) != 0 || dests[j] != dest {
-                    continue;
-                }
-                let l = frames[j].len();
-                // Train rules: equal-size segments, one shorter tail;
-                // a train never outgrows the kernel's caps. A frame
-                // that does not fit stays for a later message.
-                if count > 0
-                    && (l > seg
-                        || l == 0
-                        || seg == 0
-                        || count >= MAX_GSO_SEGS
-                        || bytes + l > MAX_UDP_PAYLOAD)
-                {
-                    break;
-                }
-                iovs[iov_at] = iovec {
-                    // The kernel only reads through send iovecs.
-                    iov_base: frames[j].as_ptr() as *mut core::ffi::c_void,
-                    iov_len: l,
-                };
-                iov_frame[iov_at] = j;
-                iov_at += 1;
-                taken |= 1 << (j - off);
-                count += 1;
-                bytes += l;
-                if !self.gso_ok || l < seg {
-                    break; // singletons only, or a short tail closes the train
-                }
-            }
-            let h = &mut hdrs[m].msg_hdr;
-            h.msg_name = &self.peer_sa[dest] as *const sockaddr_in as *mut core::ffi::c_void;
-            h.msg_namelen = std::mem::size_of::<sockaddr_in>() as u32;
-            h.msg_iov = &mut iovs[start];
-            h.msg_iovlen = count;
-            if count >= GSO_MIN_RUN {
-                ctls[m] = cmsg_seg::new(seg as u16);
-                h.msg_control = &mut ctls[m] as *mut cmsg_seg as *mut core::ffi::c_void;
-                h.msg_controllen = std::mem::size_of::<cmsg_seg>();
-            }
-            spans[m] = (start, count);
-            m += 1;
-        }
-        let mut sent = 0;
-        while sent < m {
-            // SAFETY: hdrs/iovs/ctls outlive the call; every pointer
-            // targets live storage of at least the stated length.
-            let r = unsafe {
-                sendmmsg(
-                    self.socket.as_raw_fd(),
-                    hdrs[sent..].as_mut_ptr(),
-                    (m - sent) as u32,
-                    0,
-                )
-            };
-            if r > 0 {
-                sent += r as usize;
-                continue;
-            }
-            // The head message failed outright.
-            let (start, count) = spans[sent];
-            if count >= GSO_MIN_RUN {
-                // The super-datagram was rejected — a kernel or path
-                // without UDP_SEGMENT. Disable GSO for the life of the
-                // port and resend this train's frames individually;
-                // nothing is lost.
-                self.gso_ok = false;
-                for &f in &iov_frame[start..start + count] {
-                    self.send(dests[f], &frames[f]);
-                }
-            } else {
-                // A plain datagram failed (EMSGSIZE, ENOBUFS): count
-                // it as lost and move past it.
-                self.send_errors += 1;
-            }
-            sent += 1;
-        }
-    }
-
     /// One `recvmmsg` filling up to `bufs.capacity()` frames (clamped
     /// to [`MAX_WIRE_BURST`]); frames from addresses outside the
     /// fabric are dropped. Returns committed frames.
@@ -703,6 +658,50 @@ impl UdpPort {
             if !self.fill_stage(flags) {
                 return None;
             }
+        }
+    }
+}
+
+/// A send batch's message plan: `order` holds one `(dest << 32) | i`
+/// key per frame, sorted, and each train is `(dest, first, count)`:
+/// the frames `order[first..first + count]` as one message to `dest`.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+#[derive(Default)]
+struct TxPlan {
+    order: Vec<u64>,
+    trains: Vec<(usize, usize, usize)>,
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+impl TxPlan {
+    /// Group a whole batch by destination. Keys are unique, so each
+    /// destination keeps its frames in batch order however they
+    /// interleave. One linear pass cuts a train on a destination
+    /// change, a frame longer than the train's first or empty,
+    /// [`MAX_GSO_SEGS`] or [`MAX_UDP_PAYLOAD`]; a shorter frame joins
+    /// as the tail and closes its train. Without GSO frames stand alone.
+    fn plan(&mut self, dests: &[usize], len_of: impl Fn(usize) -> usize, gso_ok: bool) {
+        let (order, trains) = (&mut self.order, &mut self.trains);
+        order.clear();
+        order.extend((0u64..).zip(dests).map(|(i, &d)| (d as u64) << 32 | i));
+        order.sort_unstable();
+        trains.clear();
+        // The open train's segment size and bytes, and whether it can grow.
+        let (mut seg, mut bytes, mut open) = (0, 0, false);
+        for (at, &key) in order.iter().enumerate() {
+            let (dest, l) = ((key >> 32) as usize, len_of(key as u32 as usize));
+            let fits = open && (1..=seg).contains(&l) && bytes + l <= MAX_UDP_PAYLOAD;
+            match trains.last_mut() {
+                Some((d, _, count)) if fits && *d == dest && *count < MAX_GSO_SEGS => {
+                    *count += 1;
+                    bytes += l;
+                }
+                _ => {
+                    trains.push((dest, at, 1));
+                    (seg, bytes) = (l, l);
+                }
+            }
+            open = gso_ok && l == seg;
         }
     }
 }
@@ -1127,36 +1126,133 @@ mod tests {
 
     #[test]
     fn interleaved_multicast_burst_is_grouped_per_destination() {
-        // The switch's multicast flush alternates destinations
-        // (w1,w2,w1,w2,…). send_batch groups those frames into one
-        // train per destination; each receiver must still see its own
-        // frames bit-exact and in per-destination order.
-        let mut ports = udp_fabric(3).unwrap();
+        // The switch's multicast flush cycles through its workers
+        // (w1,…,w8,w1,…,w8,…), here 256 frames: more than
+        // MAX_WIRE_BURST. send_batch groups the whole batch into one train per
+        // destination; each receiver must still see its own frames
+        // bit-exact and in per-destination order.
+        const WORKERS: u8 = 8;
+        const PER_WORKER: u8 = 32;
+        let mut ports = udp_fabric(1 + WORKERS as usize).unwrap();
         let mut tx = ports.remove(0);
         let (mut dests, mut frames) = (Vec::new(), Vec::new());
-        for i in 0..24u8 {
-            for w in 1..=2u8 {
+        for i in 0..PER_WORKER {
+            for w in 1..=WORKERS {
                 dests.push(w as usize);
                 frames.push(vec![w, i, w ^ i, 0xEE]);
             }
         }
+        assert!(frames.len() > MAX_WIRE_BURST);
         tx.send_batch(&dests, &frames);
         for (w, rx) in ports.iter_mut().enumerate() {
             let w = (w + 1) as u8;
             let mut bufs = BurstBuf::new(16, 64);
             let mut seen = Vec::new();
-            while seen.len() < 24 {
+            while seen.len() < PER_WORKER as usize {
                 let n = rx.recv_batch(&mut bufs, Duration::from_millis(500));
-                assert!(n > 0, "worker {w} lost datagrams ({}/24)", seen.len());
+                assert!(
+                    n > 0,
+                    "worker {w} lost datagrams ({}/{PER_WORKER})",
+                    seen.len()
+                );
                 for (from, frame) in bufs.iter() {
                     assert_eq!(from, 0);
                     seen.push(frame.to_vec());
                 }
             }
-            let want: Vec<Vec<u8>> = (0..24u8).map(|i| vec![w, i, w ^ i, 0xEE]).collect();
+            let want: Vec<Vec<u8>> = (0..PER_WORKER).map(|i| vec![w, i, w ^ i, 0xEE]).collect();
             assert_eq!(seen, want, "worker {w} stream must be intact and ordered");
         }
         assert_eq!(tx.stats().send_errors, 0);
+    }
+
+    /// Plan a batch; each train as (dest, the frame indices it carries).
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    fn trains_of(dests: &[usize], lens: &[usize], gso_ok: bool) -> Vec<(usize, Vec<usize>)> {
+        let mut plan = TxPlan::default();
+        plan.plan(dests, |i| lens[i], gso_ok);
+        plan.trains
+            .iter()
+            .map(|&(dest, first, count)| {
+                let keys = &plan.order[first..first + count];
+                (dest, keys.iter().map(|&k| k as u32 as usize).collect())
+            })
+            .collect()
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn plan_groups_a_whole_interleaved_batch_into_one_train_per_destination() {
+        // 8 destinations × 32 frames, interleaved: 256 frames, four
+        // times MAX_WIRE_BURST, must still leave as 8 trains of 32.
+        let dests: Vec<usize> = (0..256).map(|i| 1 + i % 8).collect();
+        let trains = trains_of(&dests, &[40; 256], true);
+        assert_eq!(trains.len(), 8);
+        for (d, (dest, frames)) in trains.iter().enumerate() {
+            assert_eq!(*dest, 1 + d);
+            let want: Vec<usize> = (0..256).filter(|i| i % 8 == d).collect();
+            assert_eq!(frames, &want, "destination {dest}: all 32, in batch order");
+        }
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn plan_keeps_per_destination_order_under_irregular_interleaving() {
+        let dests: Vec<usize> = (0..300usize).map(|i| (i * 7 + i / 13) % 5).collect();
+        let trains = trains_of(&dests, &[16; 300], true);
+        assert_eq!(trains.len(), 5, "one train per destination");
+        let mut covered = 0;
+        for (dest, frames) in &trains {
+            let want: Vec<usize> = (0..300).filter(|&i| dests[i] == *dest).collect();
+            assert_eq!(frames, &want);
+            covered += frames.len();
+        }
+        assert_eq!(covered, 300, "every frame planned exactly once");
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn plan_cuts_trains_on_size_changes() {
+        // A shorter tail joins and closes its train; a longer frame
+        // starts a new one; empty frames never join.
+        let lens = [8, 8, 8, 4, 8, 8, 9, 9, 0, 0];
+        let trains = trains_of(&[3; 10], &lens, true);
+        let spans: Vec<Vec<usize>> = trains.into_iter().map(|(_, f)| f).collect();
+        let want: Vec<Vec<usize>> =
+            vec![vec![0, 1, 2, 3], vec![4, 5], vec![6, 7], vec![8], vec![9]];
+        assert_eq!(spans, want);
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn plan_enforces_segment_and_payload_caps() {
+        let counts = |lens: &[usize]| -> Vec<usize> {
+            let dests = vec![1; lens.len()];
+            trains_of(&dests, lens, true)
+                .iter()
+                .map(|t| t.1.len())
+                .collect()
+        };
+        assert_eq!(counts(&[32; 150]), vec![MAX_GSO_SEGS, MAX_GSO_SEGS, 22]);
+        // 43 × 1500 B fit one 65 507 B payload, 44 do not.
+        assert_eq!(MAX_UDP_PAYLOAD / 1500, 43);
+        assert_eq!(counts(&[1500; 100]), vec![43, 43, 14]);
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn plan_without_gso_sends_singletons() {
+        let dests = [2, 1, 2, 1, 2, 1];
+        let trains = trains_of(&dests, &[8; 6], false);
+        let want: Vec<(usize, Vec<usize>)> = vec![
+            (1, vec![1]),
+            (1, vec![3]),
+            (1, vec![5]),
+            (2, vec![0]),
+            (2, vec![2]),
+            (2, vec![4]),
+        ];
+        assert_eq!(trains, want);
     }
 
     #[test]
